@@ -17,6 +17,11 @@ cells across a ``ProcessPoolExecutor`` while keeping three guarantees:
   :class:`~repro.analysis.perf.PerfRecorder` and the parent merges the
   snapshots, so ``python -m repro perf`` style counters survive the
   process boundary.
+
+Each pool worker gets ``worker_share(pool size)`` CPU slots for the
+threads of its fused transients (see
+:func:`repro.spice.backends.compiled.cpu_slots`), so a pool never
+oversubscribes the machine.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from ..aging.engine import AgingModel
 from ..analysis.perf import PERF
 from ..circuits.sense_amp import ReadTiming
 from ..constants import FAILURE_RATE_TARGET
-from ..spice.backends import resolve_backend
+from ..spice.backends import compiled, resolve_backend
 from ..spice.backends.base import SolverBackend
 from .cache import ResultCache
 from .experiment import CellResult, ExperimentCell, run_cell
@@ -107,6 +112,13 @@ def worker_share(consumers: int) -> int:
     at the machine's width regardless of how many consumers share it.
     """
     return max(1, default_workers() // max(1, int(consumers)))
+
+
+def _pool(size: int) -> ProcessPoolExecutor:
+    """A ``size``-process pool whose workers share the CPUs evenly."""
+    return ProcessPoolExecutor(max_workers=size,
+                               initializer=compiled.set_cpu_slots,
+                               initargs=(worker_share(size),))
 
 
 def _run_cell_task(index: int, cell: ExperimentCell,
@@ -209,7 +221,7 @@ def run_cells(cells: Sequence[ExperimentCell],
         return results
 
     results_by_index: Dict[int, CellResult] = {}
-    pool = ProcessPoolExecutor(max_workers=min(workers, len(cells)))
+    pool = _pool(min(workers, len(cells)))
     pending = set()
     try:
         pending = {pool.submit(_run_cell_task, index, cell, kwargs)
@@ -279,7 +291,7 @@ def run_tasks(task: Callable[..., Any], args_list: Sequence[Tuple],
         return results
 
     results_by_index: Dict[int, Any] = {}
-    pool = ProcessPoolExecutor(max_workers=min(workers, len(args_list)))
+    pool = _pool(min(workers, len(args_list)))
     pending = set()
     try:
         pending = {pool.submit(_run_task, index, task, args)

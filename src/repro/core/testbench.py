@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -186,7 +186,7 @@ class SenseAmpTestbench:
         self.system = MnaSystem(design.circuit, env.temperature_k,
                                 batch_size=batch_size)
         self._initial_template: Optional[np.ndarray] = None
-        self._trajectories: Dict[Tuple, List[np.ndarray]] = {}
+        self._trajectories: Dict[Tuple, np.ndarray] = {}
         # Stacked 2x-batch sibling system for fused endpoint transients
         # (see resolve_sign_pair); built on first use, shift-synced
         # lazily via the stale flag.
@@ -251,7 +251,7 @@ class SenseAmpTestbench:
                  t_window: Optional[float] = None,
                  decision: Optional[DecisionSpec] = None,
                  sample_mask: Optional[np.ndarray] = None,
-                 guess_trajectory: Optional[List[np.ndarray]] = None,
+                 guess_trajectory: Optional[np.ndarray] = None,
                  record_states: bool = False,
                  ) -> TransientResult:
         """Simulate one read with differential input ``vin``.
@@ -387,8 +387,8 @@ class SenseAmpTestbench:
             record_states=use_traj,
             backend=self.backend)
         if use_traj and result.states is not None:
-            self._trajectories[("sign", swapped, t_window)] = [
-                state[batch:] for state in result.states]
+            self._trajectories[("sign", swapped, t_window)] = \
+                result.states[:, batch:]
         sign = final_sign(result.differential("s", "sbar"))
         return sign[:batch], sign[batch:]
 

@@ -27,6 +27,7 @@ from typing import Dict, List, Optional
 
 from ..analysis.perf import PERF
 from ..core.cache import ResultCache
+from ..core.parallel import worker_share
 from .scheduler import Scheduler
 from .worker import RunnerFn, Worker
 
@@ -140,7 +141,10 @@ class WorkerPool:
         return self._workers
 
     def _spawn_locked(self) -> Worker:
+        # Consumers run side by side in this process: each gets an even
+        # share of the CPUs for its fused-transient threads.
         worker = Worker(self.scheduler, self.cache,
+                        cpu_slots=worker_share(self.max_workers),
                         **self.worker_kwargs)
         worker.start()
         self._workers.append(worker)

@@ -49,6 +49,7 @@ from typing import Callable, Dict, List, Optional
 from ..analysis.perf import PERF
 from ..core.cache import ResultCache
 from ..core.parallel import GridCancelled, GridTimeout, run_cells
+from ..spice.backends import compiled
 from .jobs import ArrayRequest, FleetRequest, Job
 from .scheduler import AckError, Scheduler
 
@@ -142,6 +143,10 @@ class Worker(threading.Thread):
         Lease duration on claimed jobs; heartbeats renew at a third of
         this period while a batch is in flight.  ``None`` disables
         leasing (jobs are held until this process dies).
+    cpu_slots:
+        CPU slots for the fused-transient threads of in-thread batches
+        (:func:`~repro.spice.backends.compiled.set_thread_cpu_slots`);
+        ``None`` keeps the process's.
     """
 
     def __init__(self, scheduler: Scheduler, cache: ResultCache,
@@ -150,7 +155,8 @@ class Worker(threading.Thread):
                  runner: Optional[RunnerFn] = None,
                  poll_s: float = 0.05,
                  worker_id: Optional[str] = None,
-                 lease_s: Optional[float] = 30.0) -> None:
+                 lease_s: Optional[float] = 30.0,
+                 cpu_slots: Optional[int] = None) -> None:
         self.worker_id = worker_id or f"local-{next(_worker_ids)}"
         super().__init__(name=f"repro-service-{self.worker_id}",
                          daemon=True)
@@ -161,6 +167,7 @@ class Worker(threading.Thread):
         self.retry_base_s = retry_base_s
         self.poll_s = poll_s
         self.lease_s = lease_s
+        self.cpu_slots = cpu_slots
         self.runner: RunnerFn = runner or self._run_batch_runner
         self._draining = threading.Event()
         self._cancel = threading.Event()
@@ -170,6 +177,7 @@ class Worker(threading.Thread):
     # -- lifecycle -------------------------------------------------------
 
     def run(self) -> None:
+        compiled.set_thread_cpu_slots(self.cpu_slots)
         heartbeat = None
         if self.lease_s is not None:
             heartbeat = threading.Thread(

@@ -10,10 +10,13 @@ without needing numba.
 
 Argument conventions match the C entry point: arrays are C-contiguous
 float64/int64, ``v`` is modified in place on the rows listed in
-``active``, ``alive``/``counts`` are caller-provided scratch, and the
-return value is 0 on success, -1 when ``max_iter`` was exhausted with
-unconverged samples, -2 when a sample stayed singular after the
-regularisation bump.
+``active``, ``v_prev`` is the previous accepted state the step constant
+``C/dt v_prev`` is formed from, ``isrc`` holds the step's current-source
+terms (``iw`` rows: 0 = none, 1 = shared, batch = per sample),
+``alive``/``counts`` are caller-provided scratch, and the return value
+is 0 on success, -1 when ``max_iter`` was exhausted with unconverged
+samples, -2 when a sample stayed singular after the regularisation
+bump.
 """
 
 from __future__ import annotations
@@ -21,9 +24,10 @@ from __future__ import annotations
 import numpy as np
 
 
-def newton_step(v, active, na, step_const, carg, cw, M, negA_u, A_uu,
-                u_idx, fs_idx, fs_coef, js_idx, js_coef, js_w, dev_c,
-                scal, n, nu, nd, max_iter, work, alive, counts):
+def newton_step(v, v_prev, active, na, Cdt_u, isrc, iw, carg, cw, M,
+                negA_u, A_uu, u_idx, fs_idx, fs_coef, js_idx, js_coef,
+                js_w, dev_c, scal, n, nu, nd, max_iter, work, alive,
+                counts):
     inv_phit = scal[0]
     exp_clip = scal[1]
     vtol = scal[2]
@@ -41,11 +45,27 @@ def newton_step(v, active, na, step_const, carg, cw, M, negA_u, A_uu,
     st = np.empty((3 * nd, nb0))
     rhs = np.empty((nb0, nu))
     jac = np.empty((nb0, nu * nu))
+    sc = np.empty((nb0, nu))
     a = np.empty(nu * nu)
     b = np.empty(nu)
 
+    # step constant C/dt v_prev (+ source currents) per active sample;
+    # alive holds positions into active
     for i in range(na):
-        alive[i] = active[i]
+        s = active[i]
+        for k in range(nu):
+            acc = 0.0
+            for j in range(n):
+                c = Cdt_u[k, j]
+                if c == 0.0:
+                    continue
+                acc += c * v_prev[s, j]
+            sc[i, k] = acc
+        if iw > 0:
+            row = 0 if iw == 1 else s
+            for k in range(nu):
+                sc[i, k] += isrc[row, k]
+        alive[i] = i
     nb = na
     depth = 0
     sample_iters = 0
@@ -56,7 +76,7 @@ def newton_step(v, active, na, step_const, carg, cw, M, negA_u, A_uu,
         sample_iters += nb
         # gather the active rows of v, batch-last
         for i in range(nb):
-            s = alive[i]
+            s = active[alive[i]]
             for j in range(n):
                 vt[j, i] = v[s, j]
         # arg = M @ vt (+ carg on the first 3nd rows)
@@ -77,7 +97,7 @@ def newton_step(v, active, na, step_const, carg, cw, M, negA_u, A_uu,
         else:
             for r in range(3 * nd):
                 for i in range(nb):
-                    arg[r, i] += carg[r, alive[i]]
+                    arg[r, i] += carg[r, active[alive[i]]]
         # numerically-stable softplus + logistic
         for r in range(3 * nd):
             for i in range(nb):
@@ -128,9 +148,9 @@ def newton_step(v, active, na, step_const, carg, cw, M, negA_u, A_uu,
                 st[2 * nd + j, i] = dff * pre + cd
         # rhs = step_const + negA_u @ v + device-current scatter
         for i in range(nb):
-            s = alive[i]
+            p = alive[i]
             for k in range(nu):
-                rhs[i, k] = step_const[s, k]
+                rhs[i, k] = sc[p, k]
         for k in range(nu):
             for j in range(n):
                 c = negA_u[k, j]
@@ -203,6 +223,9 @@ def newton_step(v, active, na, step_const, carg, cw, M, negA_u, A_uu,
                 if not fail:
                     break
                 if bumped:
+                    counts[0] = depth
+                    counts[1] = sample_iters
+                    counts[2] = singular
                     return -2
                 singular += 1
                 bumped = True
@@ -212,7 +235,7 @@ def newton_step(v, active, na, step_const, carg, cw, M, negA_u, A_uu,
                     x -= a[k * nu + c2] * b[c2]
                 b[k] = x / a[k * nu + k]
             maxstep = 0.0
-            s = alive[i]
+            s = active[alive[i]]
             for k in range(nu):
                 d = b[k]
                 if d > max_step:
@@ -224,7 +247,7 @@ def newton_step(v, active, na, step_const, carg, cw, M, negA_u, A_uu,
                 if m > maxstep:
                     maxstep = m
             if maxstep >= vtol:
-                alive[keep] = s
+                alive[keep] = alive[i]
                 keep += 1
         nb = keep
     counts[0] = depth

@@ -4,9 +4,10 @@ A :class:`SolverBackend` turns a compiled :class:`~repro.spice.mna.
 MnaSystem` plus one backward-Euler step configuration into a
 :class:`StepKernel` — the object the transient engine drives once per
 time step.  The kernel owns whatever precomputation and workspaces it
-needs; the engine only ever calls ``begin_step`` (new time point,
-previous accepted state) followed by ``solve`` (Newton-iterate the
-still-active rows of ``v_new`` in place).
+needs; the engine calls ``begin_step`` (new time point, previous
+accepted state) followed by ``solve`` (Newton-iterate the still-active
+rows of ``v_new`` in place) once per time step — or, when the kernel
+offers one, hands the whole run to :meth:`StepKernel.fused_transient`.
 
 Two backends ship:
 
@@ -16,9 +17,10 @@ Two backends ship:
     reference every other backend is measured against.
 ``compiled``
     Fused per-step kernels (device evaluation + reduced assembly +
-    dense solve in one pass) with a jit ladder — numba where available,
-    a runtime-compiled C kernel where a C compiler is available, and a
-    fused pure-numpy kernel everywhere else.  See
+    dense solve in one pass) with a jit ladder — a runtime-compiled C
+    kernel (with a fused whole-transient loop) where a C compiler is
+    available, numba where it is installed, and a fused pure-numpy
+    kernel everywhere else.  See
     :mod:`repro.spice.backends.compiled`.
 
 Backends are identified in the persistent result cache by
@@ -36,6 +38,17 @@ import numpy as np
 
 class StepKernel(abc.ABC):
     """One backward-Euler step solver bound to a system/dt/batch/options."""
+
+    def fused_transient(self):
+        """The kernel's whole-transient runner, or ``None``.
+
+        A kernel that can run the entire reduced backward-Euler loop in
+        one call returns that callable (see :meth:`repro.spice.
+        backends.compiled.CcStepKernel.run_transient`); the transient
+        engine then skips its per-step loop.  Results must be bitwise
+        equal to the per-step loop over :meth:`begin_step`/:meth:`solve`.
+        """
+        return None
 
     @abc.abstractmethod
     def begin_step(self, t_new: float, v_prev: np.ndarray) -> None:

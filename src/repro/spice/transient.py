@@ -85,11 +85,13 @@ class TransientResult:
         Per-sample True where a :class:`DecisionSpec` fired (None when
         no decision rule was active).
     states:
-        Full node vectors at every accepted point (``states[0]`` is the
-        initial state, ``states[k]`` the state after step ``k``), only
-        recorded when ``record_states=True``.  Entries are the solver's
-        own arrays (zero-copy); treat them as read-only.  Used to seed
-        the next bisection iteration's Newton guesses.
+        Full node vectors at every accepted point as one ``(n_steps,
+        batch, n_nodes)`` array (``states[0]`` is the initial state,
+        ``states[k]`` the state after step ``k``), only recorded when
+        ``record_states=True``.  The array is the solver's own buffer
+        (zero-copy; ``final`` may be a view of it); treat it as
+        read-only.  Used to seed the next bisection iteration's Newton
+        guesses.
     """
 
     times: np.ndarray
@@ -97,7 +99,7 @@ class TransientResult:
     final: np.ndarray
     newton_iterations: int = 0
     decided: Optional[np.ndarray] = None
-    states: Optional[List[np.ndarray]] = None
+    states: Optional[np.ndarray] = None
 
     def probe(self, node: str) -> np.ndarray:
         """Waveform of ``node``: shape ``(n_steps, batch)``."""
@@ -124,7 +126,7 @@ def run_transient(system: MnaSystem,
                   options: NewtonOptions = NewtonOptions(),
                   decision: Optional[DecisionSpec] = None,
                   sample_mask: Optional[np.ndarray] = None,
-                  guess_trajectory: Optional[List[np.ndarray]] = None,
+                  guess_trajectory: Optional[Sequence[np.ndarray]] = None,
                   guess_gate: float = 0.2,
                   extrapolate: bool = False,
                   record_states: bool = False,
@@ -343,7 +345,9 @@ def run_transient(system: MnaSystem,
     voltages = {node: np.stack(values) for node, values in record.items()}
     return TransientResult(times=times[:steps_run + 1], voltages=voltages,
                            final=v_prev, newton_iterations=total_newton,
-                           decided=decided, states=states)
+                           decided=decided,
+                           states=None if states is None
+                           else np.stack(states))
 
 
 def _build_known_table(system: MnaSystem, times: np.ndarray) -> np.ndarray:
@@ -430,7 +434,7 @@ def _run_reduced_be(system: MnaSystem, times: np.ndarray, n_steps: int,
                     decision: Optional[DecisionSpec],
                     c_over_dt: np.ndarray, options: NewtonOptions,
                     probes: Sequence[str],
-                    guess_trajectory: Optional[List[np.ndarray]],
+                    guess_trajectory: Optional[Sequence[np.ndarray]],
                     guess_gate: float, extrapolate: bool,
                     record_states: bool,
                     backend: Union[SolverBackend, str, None] = None,
@@ -445,9 +449,15 @@ def _run_reduced_be(system: MnaSystem, times: np.ndarray, n_steps: int,
     legacy loop in :func:`run_transient`: the known-voltage table
     replaces the per-step ``apply_known`` source loop, probe samples
     land in preallocated ``(n_steps + 1, batch)`` arrays instead of
-    Python lists, and (when states are not recorded) the node vectors
-    cycle through a three-slot ring (``v_prev2`` / ``v_prev`` /
-    target) instead of allocating a fresh copy per step.
+    Python lists, and the node vectors live in one preallocated
+    ``(n_steps + 1, batch, n)`` state array when states are recorded,
+    else cycle through a three-slot ring (``v_prev2`` / ``v_prev`` /
+    target).
+
+    A kernel with a fused whole-transient runner (the ``cc`` flavor,
+    see :meth:`~repro.spice.backends.base.StepKernel.fused_transient`)
+    takes the entire loop below in one call instead; this loop over the
+    same kernel's per-step solve is its bitwise reference.
     """
     if decision is not None:
         diff_a = system.node_index[decision.node_a]
@@ -461,13 +471,21 @@ def _run_reduced_be(system: MnaSystem, times: np.ndarray, n_steps: int,
         system, c_over_dt, dt, batch, options)
 
     probe_cols = {p: system._index_of(p) for p in probes}
+    fused = kernel.fused_transient()
+    if fused is not None:
+        return _run_fused(fused, system, times, n_steps, v_prev, batch,
+                          active, decided, decision, table, probe_cols,
+                          guess_trajectory, guess_gate, extrapolate,
+                          record_states)
     probe_buf = {p: np.empty((n_steps + 1, batch)) for p in probes}
     for node, index in probe_cols.items():
         probe_buf[node][0] = v_prev[:, index]
 
-    states: Optional[List[np.ndarray]] = [v_prev] if record_states else None
+    states: Optional[np.ndarray] = None
     if record_states:
         ring = None
+        states = np.empty((n_steps + 1,) + v_prev.shape)
+        states[0] = v_prev
     else:
         # Trajectory consumers hold references, so the ring only runs
         # when states are not recorded.
@@ -487,7 +505,8 @@ def _run_reduced_be(system: MnaSystem, times: np.ndarray, n_steps: int,
         t_new = times[step]
         plain = guess_trajectory is None or step >= len(guess_trajectory)
         if ring is None:
-            v_new = v_prev.copy()
+            v_new = states[step]
+            np.copyto(v_new, v_prev)
         elif plain and extrapolate and v_prev2 is not None:
             # Full-width extrapolated guess: non-active rows are written
             # too, but they are restored from ``v_prev`` right after the
@@ -533,8 +552,6 @@ def _run_reduced_be(system: MnaSystem, times: np.ndarray, n_steps: int,
             ring_i = (ring_i + 1) % 3
         for node, index in probe_cols.items():
             probe_buf[node][step] = v_prev[:, index]
-        if states is not None:
-            states.append(v_prev)
         steps_run = step
         sample_steps += active_idx.size
 
@@ -555,4 +572,43 @@ def _run_reduced_be(system: MnaSystem, times: np.ndarray, n_steps: int,
     voltages = {node: probe_buf[node][:steps_run + 1] for node in probes}
     return TransientResult(times=times[:steps_run + 1], voltages=voltages,
                            final=v_prev, newton_iterations=total_newton,
-                           decided=decided, states=states)
+                           decided=decided,
+                           states=None if states is None
+                           else states[:steps_run + 1])
+
+
+def _run_fused(fused, system: MnaSystem, times: np.ndarray, n_steps: int,
+               v_prev: np.ndarray, batch: int, active: np.ndarray,
+               decided: Optional[np.ndarray],
+               decision: Optional[DecisionSpec], table: np.ndarray,
+               probe_cols: Dict[str, int],
+               guess_trajectory: Optional[Sequence[np.ndarray]],
+               guess_gate: float, extrapolate: bool,
+               record_states: bool) -> TransientResult:
+    """:func:`_run_reduced_be` through a kernel's fused runner."""
+    rule = None
+    if decision is not None:
+        late = np.nonzero(times[1:] >= decision.t_min)[0]
+        rule = (system.node_index[decision.node_a],
+                system.node_index[decision.node_b],
+                int(late[0]) + 1 if late.size else n_steps + 1,
+                decision.threshold)
+    PERF.count("transient.runs")
+    run = fused(times, v_prev, table, active, rule,
+                list(probe_cols.values()), guess_trajectory, guess_gate,
+                extrapolate, record_states)
+    steps_run = run.steps
+    PERF.count("transient.steps", steps_run)
+    PERF.count("transient.sample_steps", run.sample_steps)
+    PERF.count("transient.sample_steps_saved",
+               batch * n_steps - run.sample_steps)
+    if decided is not None:
+        decided |= run.decided
+        PERF.count("transient.samples_decided_early", int(decided.sum()))
+    voltages = {node: run.probes[i, :steps_run + 1]
+                for i, node in enumerate(probe_cols)}
+    return TransientResult(
+        times=times[:steps_run + 1], voltages=voltages,
+        final=run.hist[steps_run % run.hist.shape[0]],
+        newton_iterations=run.iterations, decided=decided,
+        states=run.hist[:steps_run + 1] if record_states else None)
