@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from scipy import optimize, stats as scipy_stats
+from scipy import optimize, special
 
 from ..constants import FAILURE_RATE_TARGET
 
@@ -24,7 +24,7 @@ def sigma_level(failure_rate: float) -> float:
     """
     if not 0.0 < failure_rate < 1.0:
         raise ValueError("failure rate must be in (0, 1)")
-    return float(-scipy_stats.norm.ppf(failure_rate / 2.0))
+    return float(-special.ndtri(failure_rate / 2.0))
 
 
 def failure_rate_at(voffset: float, mu: float, sigma: float) -> float:
@@ -35,8 +35,8 @@ def failure_rate_at(voffset: float, mu: float, sigma: float) -> float:
         raise ValueError("mu must be finite")
     if voffset < 0.0:
         raise ValueError("voffset must be non-negative")
-    upper = scipy_stats.norm.cdf((voffset - mu) / sigma)
-    lower = scipy_stats.norm.cdf((-voffset - mu) / sigma)
+    upper = special.ndtr((voffset - mu) / sigma)
+    lower = special.ndtr((-voffset - mu) / sigma)
     return float(1.0 - (upper - lower))
 
 

@@ -1,10 +1,10 @@
 """Build provenance for benchmark artefacts.
 
-Every ``BENCH_*.json`` emitter records the machine it ran on (see
-:func:`repro.spice.backends.backend_host_info`); this module adds the
-*code* identity — which git revision produced the numbers, and whether
-the working tree was dirty — so a benchmark JSON can be traced back to
-an exact source state.  Everything degrades to ``None`` outside a git
+The benchmark's run stamp (``perfbench/run.py``) records the machine
+it ran on (see :func:`repro.spice.backends.backend_host_info`); this
+module adds the *code* identity — which git revision produced the
+numbers, and whether the working tree was dirty — so a benchmark
+result can be traced back to an exact source state.  Everything degrades to ``None`` outside a git
 checkout (installed wheels, exported tarballs): provenance is
 best-effort metadata, never a failure mode.
 """

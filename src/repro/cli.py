@@ -16,9 +16,6 @@
 * ``report`` — assemble REPORT.md from the benchmark artefacts;
 * ``perf`` — profile one table cell and dump the fast-path counters
   (optionally as JSON);
-* ``bench`` — discover and run the ``benchmarks/*_speedup.py`` suites
-  and write their ``BENCH_*.json`` artefacts (``--only`` filters,
-  repeatable);
 * ``cache`` — inspect or clear the persistent result cache;
 * ``serve`` — run the asynchronous characterisation job service
   (request batching, dedup, sharded persistent job store, worker
@@ -81,8 +78,7 @@ def _add_mc_args(parser: argparse.ArgumentParser) -> None:
                         default=None,
                         help="solver backend for the reduced transient "
                              "hot loop (default: $REPRO_BACKEND or "
-                             "'compiled'; REPRO_NO_COMPILED=1 forces "
-                             "'numpy')")
+                             "'compiled'; 'numpy' is the reference)")
 
 
 def _add_estimator_args(parser: argparse.ArgumentParser,
@@ -437,53 +433,6 @@ def cmd_perf(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    """Discover and run the ``benchmarks/*_speedup.py`` suites uniformly.
-
-    Each suite is a stand-alone script exposing ``main(argv) -> int``
-    and writing its ``BENCH_*.json`` artefact; this subcommand replaces
-    the per-suite invocation recipes with one entry point.  Arguments
-    after ``--`` are passed through to every suite.
-    """
-    import importlib.util
-    import pathlib
-
-    directory = pathlib.Path(args.dir)
-    scripts = sorted(directory.glob("*_speedup.py"))
-    if args.only:
-        scripts = [s for s in scripts
-                   if any(pattern == s.stem or pattern in s.stem
-                          for pattern in args.only)]
-    if args.list:
-        for script in scripts:
-            print(script.stem)
-        return 0
-    if not scripts:
-        print(f"no *_speedup.py benchmarks under {directory}",
-              file=sys.stderr)
-        return 1
-    passthrough = list(args.bench_args)
-    if passthrough[:1] == ["--"]:
-        passthrough = passthrough[1:]
-    failures = []
-    for script in scripts:
-        print(f"== {script.stem} ==", flush=True)
-        spec = importlib.util.spec_from_file_location(script.stem, script)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        main_fn = getattr(module, "main", None)
-        if main_fn is None:
-            print(f"  {script.name} has no main(argv)", file=sys.stderr)
-            failures.append(script.stem)
-            continue
-        if main_fn(list(passthrough)):
-            failures.append(script.stem)
-    if failures:
-        print("failed suites: " + ", ".join(failures), file=sys.stderr)
-        return 1
-    return 0
-
-
 def cmd_cache(args) -> int:
     """Inspect or clear the persistent result cache."""
     import pathlib
@@ -829,20 +778,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_estimator_args(p)
     _add_cache_args(p)
     p.set_defaults(func=cmd_perf)
-
-    p = sub.add_parser("bench",
-                       help="run the benchmarks/*_speedup.py suites")
-    p.add_argument("--dir", default="benchmarks",
-                   help="directory to scan for *_speedup.py suites")
-    p.add_argument("--list", action="store_true",
-                   help="list the discovered suites and exit")
-    p.add_argument("--only", action="append", default=None,
-                   metavar="NAME",
-                   help="run only suites whose name matches (exact stem "
-                        "or substring); repeatable, matches union")
-    p.add_argument("bench_args", nargs=argparse.REMAINDER,
-                   help="arguments after -- are passed to every suite")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("cache",
                        help="inspect or clear the persistent result cache")

@@ -68,19 +68,11 @@ class WarmStartOptions:
     ``state_reuse`` is **bit-identical**: the shared pre-read operating
     point is the same vector whether built once or per call
     (``run_transient`` copies it and re-applies the waveforms).
-    ``trajectory``, ``extrapolate`` and ``quasi`` change the Newton
-    starting point and iteration operator, so their results agree with
-    the cold start only to solver tolerance — which is why enabling any
-    of them also tightens the transient Newton ``vtol`` by
-    ``vtol_factor`` (the documented tolerance contract; see
-    docs/simulator.md).
-
-    ``quasi`` defaults to off: on the paper's sense-amplifier systems
-    the Jacobian blocks are ~10x10, so factorisation is cheap relative
-    to device-model evaluation and the chord iteration's linear
-    convergence costs more residual evaluations than the reused factor
-    saves (measured in ``BENCH_warmstart.json``); the mode is kept for
-    stiffer/larger systems where the trade-off reverses.
+    ``trajectory`` and ``extrapolate`` change the Newton starting
+    point, so their results agree with the cold start only to solver
+    tolerance — which is why enabling either also tightens the
+    transient Newton ``vtol`` by ``vtol_factor`` (the documented
+    tolerance contract; see docs/simulator.md).
     """
 
     #: Build the pre-read operating point once per testbench and reuse
@@ -93,11 +85,8 @@ class WarmStartOptions:
     #: Seed steps without a trajectory by linear extrapolation from the
     #: previous two accepted points.
     extrapolate: bool = True
-    #: Reuse Newton's factorised Jacobian blocks across iterations and
-    #: steps, refactorising per sample on residual stall.
-    quasi: bool = False
-    #: Transient Newton ``vtol`` multiplier applied while ``trajectory``,
-    #: ``extrapolate`` or ``quasi`` is active.
+    #: Transient Newton ``vtol`` multiplier applied while ``trajectory``
+    #: or ``extrapolate`` is active.
     vtol_factor: float = 0.1
     #: Per-sample alignment gate [V] for trajectory seeds.
     guess_gate: float = 0.2
@@ -112,8 +101,7 @@ class WarmStartOptions:
     @classmethod
     def disabled(cls) -> "WarmStartOptions":
         """Cold-start policy (the legacy, pre-warm-start behaviour)."""
-        return cls(state_reuse=False, trajectory=False, extrapolate=False,
-                   quasi=False)
+        return cls(state_reuse=False, trajectory=False, extrapolate=False)
 
 
 def default_probes(design: SenseAmpDesign) -> Tuple[str, ...]:
@@ -172,15 +160,13 @@ class SenseAmpTestbench:
         self.backend = resolve_backend(backend)
         self.warmstart = (WarmStartOptions.from_env()
                           if warmstart is None else warmstart)
-        # Trajectory seeding and chord iterations change the Newton
-        # starting point / operator, so the transient solves run under a
-        # tightened tolerance to keep results within the documented
-        # envelope of the cold-start path.
-        if (self.warmstart.trajectory or self.warmstart.extrapolate
-                or self.warmstart.quasi):
+        # Trajectory seeding and extrapolation change the Newton
+        # starting point, so the transient solves run under a tightened
+        # tolerance to keep results within the documented envelope of
+        # the cold-start path.
+        if self.warmstart.trajectory or self.warmstart.extrapolate:
             self._transient_newton = dataclasses.replace(
-                newton, quasi=self.warmstart.quasi,
-                vtol=newton.vtol * self.warmstart.vtol_factor)
+                newton, vtol=newton.vtol * self.warmstart.vtol_factor)
         else:
             self._transient_newton = newton
         self.system = MnaSystem(design.circuit, env.temperature_k,

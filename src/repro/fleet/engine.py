@@ -8,8 +8,7 @@ partial statistics are merged **in block order** with plain Python
 float accumulation.  Because every random draw is spawn-keyed per block
 and the merge order is fixed, the summary is bitwise identical for any
 ``chunk_size`` / ``workers`` combination — and for the
-``REPRO_NO_FLEETVEC`` reference loop (pinned by tests and
-``benchmarks/fleet_speedup.py``).
+``REPRO_NO_FLEETVEC`` reference loop (pinned by ``tests/fleet``).
 
 Summaries are JSON-primitive dictionaries so they can be journaled,
 cached (``ResultCache`` doc entries) and served over HTTP unchanged.

@@ -466,7 +466,7 @@ def stacked_mos_current_into(terminals, vth,
     expression *and operation order* of :func:`stacked_mos_current`, so
     the outputs are bit-identical — the reduced-assembly fast path
     relies on this to stay bitwise equal to the full-space baseline
-    (enforced by the test suite and the ``reduced_speedup`` benchmark).
+    (enforced by the test suite).
     """
     phit = devices.phit
     w = work

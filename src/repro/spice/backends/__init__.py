@@ -9,11 +9,9 @@ Selection (first match wins):
 2. the ``REPRO_BACKEND`` environment variable;
 3. the default: ``compiled``.
 
-``REPRO_NO_COMPILED=1`` is a global kill switch following the same
-discipline as the other ``REPRO_NO_*`` opt-outs: any *name*-based
-resolution (including an explicit ``backend="compiled"`` string and
-``REPRO_BACKEND``) lands on ``numpy``; only passing a backend *object*
-bypasses it (the parity tests do exactly that).
+``numpy`` (``REPRO_BACKEND=numpy``, ``--backend numpy`` or
+``backend="numpy"``) is the bitwise reference the ``compiled`` backend
+is measured against.
 
 The resolved backend's :meth:`~repro.spice.backends.base.SolverBackend.
 cache_token` is salted into the content-addressed result-cache key, so
@@ -30,13 +28,11 @@ from .compiled import CompiledBackend
 from .numpy_backend import NumpyBackend
 
 __all__ = ["SolverBackend", "StepKernel", "NumpyBackend", "CompiledBackend",
-           "BACKEND_ENV", "NO_COMPILED_ENV", "available_backends",
+           "BACKEND_ENV", "available_backends",
            "get_backend", "resolve_backend", "backend_host_info"]
 
 #: Environment variable naming the default backend.
 BACKEND_ENV = "REPRO_BACKEND"
-#: Opt-out switch: force the ``numpy`` backend everywhere.
-NO_COMPILED_ENV = "REPRO_NO_COMPILED"
 
 _REGISTRY = {"numpy": NumpyBackend, "compiled": CompiledBackend}
 _INSTANCES: Dict[str, SolverBackend] = {}
@@ -61,29 +57,24 @@ def get_backend(name: str) -> SolverBackend:
     return instance
 
 
-def _no_compiled() -> bool:
-    return os.environ.get(NO_COMPILED_ENV, "0") == "1"
-
-
 def resolve_backend(backend: Union[SolverBackend, str, None] = None
                     ) -> SolverBackend:
     """Resolve a backend argument/environment to a backend instance.
 
     ``backend`` may be ``None`` (environment/default resolution), a
-    registered name, or an already-resolved instance (returned as is,
-    bypassing the kill switch).
+    registered name, or an already-resolved instance (returned as is).
     """
     if isinstance(backend, SolverBackend):
         return backend
     name = backend
     if name is None:
-        name = os.environ.get(BACKEND_ENV) or None
-    if name is None or (name == "compiled" and _no_compiled()):
-        name = "numpy" if _no_compiled() else "compiled"
+        name = os.environ.get(BACKEND_ENV) or "compiled"
     return get_backend(name)
 
 
 def backend_host_info(backend: Union[SolverBackend, str, None] = None
                       ) -> dict:
-    """Backend identity block for ``BENCH_*.json`` host metadata."""
+    """Backend identity and runtime facts (kernel flavor, compiler
+    flags, CPU slots) for host metadata, e.g. the ``perfbench/`` run
+    stamp."""
     return resolve_backend(backend).describe()

@@ -7,9 +7,8 @@ driven through :mod:`ctypes`:
     One backward-Euler step: the step constant ``C/dt v_prev`` (plus
     current sources), argument matmul, EKV evaluation, reduced
     assembly, per-sample LU solve, damped update and per-sample
-    convergence masking.  The scalar-C transliteration of
-    :func:`repro.spice.backends._kernel_py.newton_step`, operating on
-    the :class:`~repro.spice.backends.maps.ReducedKernelMaps` arrays.
+    convergence masking, operating on the
+    :class:`~repro.spice.backends.maps.ReducedKernelMaps` arrays.
 ``transient_be``
     The whole reduced backward-Euler time loop of one transient (known
     columns, trajectory seeding, extrapolation, the ``newton_step``

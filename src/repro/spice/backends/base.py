@@ -17,10 +17,9 @@ Two backends ship:
     reference every other backend is measured against.
 ``compiled``
     Fused per-step kernels (device evaluation + reduced assembly +
-    dense solve in one pass) with a jit ladder — a runtime-compiled C
-    kernel (with a fused whole-transient loop) where a C compiler is
-    available, numba where it is installed, and a fused pure-numpy
-    kernel everywhere else.  See
+    dense solve in one pass) — a runtime-compiled C kernel (with a
+    fused whole-transient loop) where a C compiler is available, and a
+    fused pure-numpy kernel everywhere else.  See
     :mod:`repro.spice.backends.compiled`.
 
 Backends are identified in the persistent result cache by

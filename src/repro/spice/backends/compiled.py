@@ -8,27 +8,24 @@ pass over the :class:`~repro.spice.backends.maps.ReducedKernelMaps`
 operators, instead of the reference path's ~15 python-level dispatches
 per Newton iteration.
 
-Three kernel *flavors* share those maps, tried in order (the jit
-ladder, overridable with ``REPRO_COMPILED_JIT=auto|numba|cc|numpy``):
+Two kernel *flavors* share those maps.  The flavor is derived, not
+configured: ``cc`` when :func:`repro.spice.backends._cc.load_kernel`
+returns a library and the first-use self-check passes, ``numpy``
+otherwise.
 
 ``cc``
     The kernel compiled from C at runtime and driven through ctypes
     (:mod:`repro.spice.backends._cc`) — used when a C compiler is on
-    PATH.  Only this flavor also has the *fused transient*: the whole
-    backward-Euler time loop in one C call
-    (:meth:`CcStepKernel.run_transient`), its samples split across CPU
-    threads.
-``numba``
-    :func:`repro.spice.backends._kernel_py.newton_step` jitted with
-    ``numba.njit`` — the fallback for hosts with numba but no C
-    compiler.
+    PATH.  It also has the *fused transient*: the whole backward-Euler
+    time loop in one C call (:meth:`CcStepKernel.run_transient`), its
+    samples split across CPU threads.
 ``numpy``
     A fused pure-numpy kernel (one matmul for all model arguments, ~45
     in-place ufuncs for the device algebra, constant-folded scatter
-    matmuls) — always available; also the reference the jitted flavors
-    are self-checked against.
+    matmuls) — always available; also the reference the ``cc`` kernel
+    is self-checked against.
 
-**Safety**: the first solve through a jitted flavor in each process is
+**Safety**: the first solve through the ``cc`` kernel in each process is
 replayed on the fused-numpy kernel and compared; a disagreement beyond
 Newton tolerance permanently demotes the process to the numpy flavor
 (and counts ``spice.backend.selfcheck_failures``).  Until that check
@@ -52,18 +49,16 @@ the thread count and to batch packing.
 Offsets produced through this backend are bit-identical to the
 ``numpy`` backend (the sign decisions the bisection consumes are ulp-
 robust); raw trajectories agree to solver tolerance.  Anything the
-fused kernels do not cover exactly — quasi-Newton, unmasked solves,
-device-less or oversized systems — silently uses the reference kernel
+fused kernels do not cover exactly — unmasked solves, device-less or
+oversized systems — silently uses the reference kernel
 (``spice.backend.fallback_steps``).
 """
 
 from __future__ import annotations
 
 import collections
-import os
 import threading
 import weakref
-import time
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -81,16 +76,6 @@ KERNEL_VERSION = "fused-2"
 
 #: Fewest active samples that earn a fused-transient thread of their own.
 MIN_SAMPLES_PER_THREAD = 8
-
-#: Environment override for the jit ladder.
-JIT_ENV = "REPRO_COMPILED_JIT"
-
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba as _numba
-    NUMBA_VERSION: Optional[str] = _numba.__version__
-except Exception:  # pragma: no cover
-    _numba = None
-    NUMBA_VERSION = None
 
 # Process-wide flavor state: resolved once, shared by every backend
 # instance (kernels are pure functions of their arguments).
@@ -128,40 +113,27 @@ def cpu_slots() -> int:
 
 
 def _resolve_flavor() -> Tuple[str, Optional[object]]:
-    """Pick the fastest available kernel flavor (once per process)."""
+    """``("cc", lib)`` if the C kernel loads, else ``("numpy", None)``.
+
+    Resolved once per process.
+    """
     global _FLAVOR, _COMPILE_MS, _CC_FLAGS
-    if _FLAVOR is not None:
-        return _FLAVOR
-    choice = os.environ.get(JIT_ENV, "auto").strip().lower() or "auto"
-    ladder = {"auto": ("cc", "numba", "numpy"), "numba": ("numba",),
-              "cc": ("cc",), "numpy": ("numpy",)}.get(choice)
-    if ladder is None:
-        raise ValueError(
-            f"{JIT_ENV} must be auto|numba|cc|numpy, got {choice!r}")
-    for flavor in ladder:
-        if flavor == "numba" and _numba is not None:
-            from . import _kernel_py
-            fn = _numba.njit(cache=True, nogil=True)(_kernel_py.newton_step)
-            _FLAVOR = ("numba", fn)
-            return _FLAVOR
-        if flavor == "cc":
-            lib, compile_ms, flags = _cc.load_kernel()
-            if lib is not None:
-                _COMPILE_MS = compile_ms
-                _CC_FLAGS = flags
-                if compile_ms:
-                    PERF.gauge("spice.backend.kernel_compile_ms",
-                               round(compile_ms, 3))
-                _FLAVOR = ("cc", lib)
-                return _FLAVOR
-        if flavor == "numpy":
-            break
-    _FLAVOR = ("numpy", None)
+    if _FLAVOR is None:
+        lib, compile_ms, flags = _cc.load_kernel()
+        if lib is None:
+            _FLAVOR = ("numpy", None)
+        else:
+            _COMPILE_MS = compile_ms
+            _CC_FLAGS = flags
+            if compile_ms:
+                PERF.gauge("spice.backend.kernel_compile_ms",
+                           round(compile_ms, 3))
+            _FLAVOR = ("cc", lib)
     return _FLAVOR
 
 
 def _reset_flavor_cache() -> None:
-    """Forget the resolved flavor (tests sweep ``REPRO_COMPILED_JIT``)."""
+    """Forget the resolved flavor and the self-check outcome."""
     global _FLAVOR, _SELFCHECK, _COMPILE_MS, _CC_FLAGS
     _FLAVOR = None
     _SELFCHECK = None
@@ -346,24 +318,33 @@ class FusedNumpyKernel(_FusedStepBase):
             f"iterations (last max step {worst:.3e} V)")
 
 
-class ScalarStepKernel(_FusedStepBase):
-    """Step kernel driving a jitted scalar function (``cc``/``numba``).
+#: Raw outcome of one fused transient (see CcStepKernel.run_transient).
+FusedRun = collections.namedtuple(
+    "FusedRun", "steps hist probes decided sample_steps iterations")
 
-    The callable performs the whole Newton loop for the step, step
-    constant included; python only passes the previous state and the
-    step's current-source terms and flushes perf counters.
+
+class CcStepKernel(_FusedStepBase):
+    """The runtime-compiled C step kernel (flavor ``cc``).
+
+    :meth:`solve` runs one step's whole Newton loop in C, step constant
+    included; python only passes the previous state and the step's
+    current-source terms and flushes perf counters.
+    :meth:`run_transient` runs the whole backward-Euler loop in one
+    call.
     """
 
-    def __init__(self, maps, system, batch, options, flavor: str,
-                 fn) -> None:
+    flavor = "cc"
+
+    def __init__(self, maps, system, batch, options, lib) -> None:
         super().__init__(maps, system, batch, options)
-        self.flavor = flavor
-        self._fn = fn
+        self._fn = lib.newton_step
+        self._transient = lib.transient_be
         nd, nu, n = maps.nd, maps.nu, maps.n
         # Per-sample workspace of one newton_step call (see _cc.C_SOURCE).
         self._wrow = n + 18 * nd + 2 * nu + nu * nu
         self._work = np.empty(self._wrow * batch)
         self._alive = np.empty(batch, dtype=np.int64)
+        self._act = np.empty(batch, dtype=np.int64)
         self._counts = np.zeros(3, dtype=np.int64)
         self._no_isrc = np.zeros((1, nu))
         self._v_prev: Optional[np.ndarray] = None
@@ -378,7 +359,6 @@ class ScalarStepKernel(_FusedStepBase):
                 self._isrc = table
 
     def solve(self, v_new: np.ndarray, active_idx: np.ndarray) -> int:
-        global _COMPILE_MS
         maps = self.maps
         options = self.options
         carg = maps.vth_carg()
@@ -391,14 +371,7 @@ class ScalarStepKernel(_FusedStepBase):
                 maps.js_coef, maps.js_w, maps.dev_c, maps.scal, maps.n,
                 maps.nu, maps.nd, options.max_iter, self._work,
                 self._alive, self._counts)
-        if self.flavor == "numba" and _COMPILE_MS is None:
-            start = time.perf_counter()
-            status = self._fn(*args)
-            _COMPILE_MS = (time.perf_counter() - start) * 1e3
-            PERF.gauge("spice.backend.kernel_compile_ms",
-                       round(_COMPILE_MS, 3))
-        else:
-            status = self._fn(*args)
+        status = self._fn(*args)
         # Kernels outlive the run; do not pin its state buffer.
         self._v_prev = None
         depth = int(self._counts[0])
@@ -418,25 +391,9 @@ class ScalarStepKernel(_FusedStepBase):
         if status == -1:
             raise ConvergenceError(
                 f"Newton-Raphson did not converge in "
-                f"{self.options.max_iter} iterations (compiled "
-                f"{self.flavor} kernel)")
+                f"{self.options.max_iter} iterations (compiled cc kernel)")
         if status == -2:
             raise np.linalg.LinAlgError("Singular matrix")
-
-
-#: Raw outcome of one fused transient (see CcStepKernel.run_transient).
-FusedRun = collections.namedtuple(
-    "FusedRun", "steps hist probes decided sample_steps iterations")
-
-
-class CcStepKernel(ScalarStepKernel):
-    """The ``cc`` step kernel, plus the fused whole-transient loop."""
-
-    def __init__(self, maps, system, batch, options, lib) -> None:
-        super().__init__(maps, system, batch, options, "cc",
-                         lib.newton_step)
-        self._transient = lib.transient_be
-        self._act = np.empty(batch, dtype=np.int64)
 
     def fused_transient(self):
         return self.run_transient
@@ -535,7 +492,7 @@ class CcStepKernel(ScalarStepKernel):
 
 
 class _SelfCheckKernel(StepKernel):
-    """First-use validation wrapper around a jitted kernel.
+    """First-use validation wrapper around the ``cc`` kernel.
 
     The first solve routed through this wrapper is replayed on the
     fused-numpy reference; agreement within Newton tolerance unlocks
@@ -548,7 +505,7 @@ class _SelfCheckKernel(StepKernel):
     #: while far below every decision threshold in the testbench.
     ATOL = 1e-6
 
-    def __init__(self, fast: ScalarStepKernel,
+    def __init__(self, fast: CcStepKernel,
                  reference: FusedNumpyKernel) -> None:
         self._fast = fast
         self._reference = reference
@@ -596,7 +553,7 @@ class _SelfCheckKernel(StepKernel):
 
 
 class CompiledBackend(SolverBackend):
-    """Fused-kernel backend with the cc/numba/numpy jit ladder."""
+    """Fused-kernel backend: the ``cc`` kernel, else fused numpy."""
 
     name = "compiled"
     kernel_version = KERNEL_VERSION
@@ -609,8 +566,6 @@ class CompiledBackend(SolverBackend):
             "backend": self.name,
             "kernel_version": self.kernel_version,
             "flavor": flavor,
-            "numba": {"available": _numba is not None,
-                      "version": NUMBA_VERSION},
             "cc": {"available": _cc.compiler_available(),
                    "flags": _CC_FLAGS},
             "kernel_compile_ms": (round(_COMPILE_MS, 3)
@@ -621,7 +576,7 @@ class CompiledBackend(SolverBackend):
     def step_kernel(self, system, c_over_dt: np.ndarray, dt: float,
                     batch: int, options: NewtonOptions) -> StepKernel:
         devices = getattr(system, "_devices", None)
-        if (options.quasi or not options.masked or devices is None
+        if (not options.masked or devices is None
                 or devices.polarity.shape[0] == 0
                 or system.unknown_idx.size == 0):
             # Out of the fused kernels' contract — use the reference
@@ -642,11 +597,7 @@ class CompiledBackend(SolverBackend):
         if flavor == "numpy":
             kernel = FusedNumpyKernel(maps, system, batch, options)
         else:
-            if flavor == "cc":
-                fast = CcStepKernel(maps, system, batch, options, fn)
-            else:
-                fast = ScalarStepKernel(maps, system, batch, options,
-                                        flavor, fn)
+            fast = CcStepKernel(maps, system, batch, options, fn)
             if _SELFCHECK is None:
                 kernel = _SelfCheckKernel(
                     fast, FusedNumpyKernel(maps, system, batch, options))

@@ -18,16 +18,16 @@ one matrix:
   once (:attr:`negFs_u`, :attr:`Juu`), so the kernels assemble the
   *negated* reduced residual (the Newton right-hand side) directly;
 * the backward-Euler constant ``-(G + C/dt) v - C/dt v_prev`` splits
-  into a per-step constant (:attr:`Cdt_u` for the scalar kernels, which
-  form it in C with a fixed loop order; :attr:`CdtT_u` for the
+  into a per-step constant (:attr:`Cdt_u` for the C kernel, which
+  forms it with a fixed loop order; :attr:`CdtT_u` for the
   fused-numpy kernel's ``begin_step`` matmul) and a per-iteration
   matmul row block (:attr:`negA_u`); current sources enter the step
   constant through :meth:`isource_table`.
 
-Both the fused-numpy kernel and the jitted scalar kernels (numba / C)
-consume the same instance; the scalar kernels additionally use the
-sparse index/coefficient form of the scatters (:attr:`fs_idx` /
-:attr:`js_idx`) because their inner loops skip structural zeros.
+Both the fused-numpy kernel and the C kernel consume the same
+instance; the C kernel additionally uses the sparse index/coefficient
+form of the scatters (:attr:`fs_idx` / :attr:`js_idx`) because its
+inner loops skip structural zeros.
 
 The maps reproduce the reference pipeline's *algebra*, not its exact
 operation order — offsets extracted through these kernels are bitwise
@@ -109,7 +109,7 @@ class ReducedKernelMaps:
         self.Juu = np.ascontiguousarray(
             (scale[:, None] * system._jac_scatter)[:, system._uu_cols])
 
-        # Sparse forms for the scalar kernels.  Each device current
+        # Sparse forms for the C kernel.  Each device current
         # lands on at most its drain and source unknowns.
         self.fs_idx = np.zeros((nd, 2), dtype=np.int64)
         self.fs_coef = np.zeros((nd, 2))
@@ -128,7 +128,7 @@ class ReducedKernelMaps:
             self.js_coef[r, :nz.size] = self.Juu[r, nz]
 
         # Per-device constants: [theta*phit | theta*n*phit | 1/n |
-        # lambda | lambda*2*phit], one row each for the scalar kernels,
+        # lambda | lambda*2*phit], one row each for the C kernel,
         # and batch-last column views for the fused-numpy kernel.
         self.dev_c = np.ascontiguousarray(np.stack([
             dev.theta * phit, dev.theta * nn * phit, 1.0 / nn,

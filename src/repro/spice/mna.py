@@ -34,14 +34,14 @@ from .netlist import Circuit, Mosfet, is_ground
 #: Conductance from every node to ground for conditioning [S].
 GMIN_DEFAULT = 1e-9
 
-#: Environment switch disabling the stacked-device fast path (used by the
-#: fast-path benchmarks to measure the legacy per-device loop).
+#: Environment switch disabling the stacked-device fast path: every
+#: device is then evaluated by the legacy per-device loop.
 FASTPATH_ENV = "REPRO_NO_FASTPATH"
 
 #: Environment switch disabling the reduced (unknown-block) assembly: the
 #: transient engine then falls back to full node-space residual/Jacobian
 #: assembly with the solver slicing the unknown block per iteration —
-#: the PR-2 baseline measured by ``benchmarks/reduced_speedup.py``.
+#: the reference the reduced assembly is pinned to bit for bit.
 REDUCED_ENV = "REPRO_NO_REDUCED"
 
 
@@ -502,13 +502,6 @@ class MnaSystem:
         jac_uu = jac_uu.reshape(batch, self.n_unknown, self.n_unknown)
         jac_uu += self.g_static_uu
         return f_u, jac_uu
-
-    def reduced_residual(self, v_full: np.ndarray, time_s: float,
-                         active: Optional[np.ndarray] = None) -> np.ndarray:
-        """Unknown-block residual only (no Jacobian assembly)."""
-        PERF.count("mna.reduced_evals")
-        f = self.static_residual(v_full, time_s, active)
-        return f[:, self.unknown_idx]
 
     def vth_shifts(self) -> Dict[str, Union[float, np.ndarray]]:
         """Current per-device shifts (scalars or ``(batch,)`` arrays)."""

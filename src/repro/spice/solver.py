@@ -16,20 +16,6 @@ accept ``(v_rows, active_idx)`` and evaluate only the still-active
 rows, which is where the savings come from; legacy single-argument
 callbacks are still evaluated on the full batch but only the active
 members pay for the dense solve and update.
-
-**Quasi-Newton (chord) mode**: with ``NewtonOptions.quasi`` the solver
-keeps each sample's Jacobian-inverse block and reuses it across
-iterations — and, through a caller-owned :class:`FactorCache`, across
-consecutive solves (transient time steps).  Chord iterations evaluate
-only the residual (via the callback's ``residual_only`` attribute) and
-apply the stored inverse; a per-sample *stall* detector re-factorises
-exactly the members whose step stopped contracting, so the iteration
-degrades gracefully into full Newton wherever the stale operator is no
-longer a contraction.  Chord steps converge linearly rather than
-quadratically, so callers tighten ``vtol`` (see
-:class:`repro.core.testbench.WarmStartOptions`); the stall logic is
-per-sample, which keeps batch members independent (chunked and batched
-runs agree to solver tolerance regardless of their siblings).
 """
 
 from __future__ import annotations
@@ -106,41 +92,9 @@ class NewtonOptions:
     #: Drop converged samples from the iteration (fast path); disable to
     #: reproduce the legacy run-everyone-to-global-convergence loop.
     masked: bool = True
-    #: Reuse each sample's Jacobian-inverse block across iterations and
-    #: (through a :class:`FactorCache`) across consecutive solves,
-    #: re-factorising only members whose step stalls.  Requires the
-    #: callback to provide ``residual_only``; ignored otherwise.
-    quasi: bool = False
-    #: A chord member re-factorises when its step fails to contract
-    #: below ``stall_ratio`` times its previous step.
-    stall_ratio: float = 0.5
 
 
 ResJacFn = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
-
-
-@dataclasses.dataclass
-class FactorCache:
-    """Per-sample Jacobian-inverse blocks carried between Newton solves.
-
-    One instance is owned by a transient run and handed to every
-    step's :func:`newton_solve`; blocks survive from step to step, so a
-    step whose warm-started guess is already near the root converges on
-    chord iterations alone, without a single Jacobian assembly or dense
-    factorisation.  ``valid`` marks which batch members hold a usable
-    block — members never solved (or deliberately invalidated) are
-    factorised on their first iteration.
-    """
-
-    inv: Optional[np.ndarray] = None
-    valid: Optional[np.ndarray] = None
-
-    def ensure(self, batch: int, n_unknown: int) -> None:
-        """Allocate (or re-shape) storage for ``batch`` members."""
-        shape = (batch, n_unknown, n_unknown)
-        if self.inv is None or self.inv.shape != shape:
-            self.inv = np.zeros(shape)
-            self.valid = np.zeros(batch, dtype=bool)
 
 
 def _solve_batched(jac_uu: np.ndarray, rhs: np.ndarray,
@@ -196,34 +150,10 @@ def _solve_batched_fast(jac_uu: np.ndarray, rhs: np.ndarray,
         return _regularised_solve(jac_uu, rhs, regularisation)
 
 
-def _invert_batched(jac_uu: np.ndarray,
-                    regularisation: float) -> np.ndarray:
-    """Batched dense inverse; singular members are regularised one by one.
-
-    The quasi-Newton path stores explicit inverses (the unknown blocks
-    are small and dense, so a stored inverse is the cheapest reusable
-    factorisation numpy offers) and applies them as mat-vecs on chord
-    iterations.
-    """
-    try:
-        return np.linalg.inv(jac_uu)
-    except np.linalg.LinAlgError:
-        out = np.empty_like(jac_uu)
-        bump = regularisation * np.eye(jac_uu.shape[-1])
-        for member in range(jac_uu.shape[0]):
-            try:
-                out[member] = np.linalg.inv(jac_uu[member])
-            except np.linalg.LinAlgError:
-                PERF.count("newton.singular_members")
-                out[member] = np.linalg.inv(jac_uu[member] + bump)
-        return out
-
-
 def newton_solve(res_jac: ResJacFn, v_full: np.ndarray,
                  unknown_idx: np.ndarray,
                  options: NewtonOptions = NewtonOptions(),
                  active: Optional[np.ndarray] = None,
-                 factor: Optional[FactorCache] = None,
                  ) -> Tuple[np.ndarray, int]:
     """Drive the unknown nodes of ``v_full`` to a KCL solution in place.
 
@@ -246,11 +176,6 @@ def newton_solve(res_jac: ResJacFn, v_full: np.ndarray,
         Optional index array restricting the solve to a subset of batch
         members (e.g. transient samples whose latch decision is still
         pending); the rest are left untouched.
-    factor:
-        Optional :class:`FactorCache` enabling the quasi-Newton (chord)
-        path when ``options.quasi`` is set and the callback provides
-        both ``supports_active`` and ``residual_only``.  Valid blocks
-        are reused; stalled or missing blocks are re-factorised.
 
     Returns
     -------
@@ -280,16 +205,8 @@ def newton_solve(res_jac: ResJacFn, v_full: np.ndarray,
     if getattr(res_jac, "reduced", False):
         # The callback already returns unknown-block quantities, so the
         # per-iteration ``jac[:, row, col]`` / ``f[:, u]`` copies vanish.
-        # Takes precedence over the quasi path (reduced callbacks are
-        # produced by the transient engine, which keeps chord mode on
-        # the full-space loop).
         return _reduced_newton(res_jac, v_full, u, options, active_idx,
                                initial_count)
-
-    if (options.quasi and factor is not None and supports_active
-            and getattr(res_jac, "residual_only", None) is not None):
-        return _quasi_solve(res_jac, v_full, u, row, col, options,
-                            active_idx, initial_count, factor)
 
     PERF.count("newton.solves")
     delta = None
@@ -380,65 +297,3 @@ def _reduced_newton(res_jac: ResJacFn, v_full: np.ndarray, u: np.ndarray,
         f"Newton-Raphson did not converge in {options.max_iter} iterations "
         f"(last max step {worst:.3e} V)")
 
-
-def _quasi_solve(res_jac: ResJacFn, v_full: np.ndarray, u: np.ndarray,
-                 row: np.ndarray, col: np.ndarray, options: NewtonOptions,
-                 active_idx: np.ndarray, initial_count: int,
-                 factor: FactorCache) -> Tuple[np.ndarray, int]:
-    """Chord iteration with per-sample stall-triggered refactorisation.
-
-    Rows with a valid cached inverse take chord steps (residual-only
-    evaluation + stored-inverse mat-vec); rows without one, or whose
-    previous step failed to contract by ``options.stall_ratio``, pay for
-    a full residual/Jacobian evaluation and a fresh inverse.  Stall
-    detection is per sample, so batch members stay independent.
-    """
-    batch = v_full.shape[0]
-    factor.ensure(batch, u.size)
-    res_only = res_jac.residual_only
-
-    PERF.count("newton.solves")
-    # ``need`` marks positions within ``active_idx`` that must refactor
-    # this iteration; ``prev_step`` seeds the stall test so a clipped
-    # first chord step (>= stall_ratio * max_step) refactors immediately.
-    need = ~factor.valid[active_idx]
-    prev_step = np.full(active_idx.size, options.max_step)
-    delta = None
-    for iteration in range(1, options.max_iter + 1):
-        f_u = np.empty((active_idx.size, u.size))
-        rows_ref = active_idx[need]
-        if rows_ref.size:
-            f_ref, jac_ref = res_jac(v_full[rows_ref], rows_ref)
-            factor.inv[rows_ref] = _invert_batched(
-                jac_ref[:, row, col], options.regularisation)
-            factor.valid[rows_ref] = True
-            f_u[need] = f_ref[:, u]
-            PERF.count("newton.refactor_rows", int(rows_ref.size))
-        chord = ~need
-        rows_chord = active_idx[chord]
-        if rows_chord.size:
-            f_u[chord] = res_only(v_full[rows_chord], rows_chord)[:, u]
-            PERF.count("newton.chord_rows", int(rows_chord.size))
-        delta = -(factor.inv[active_idx] @ f_u[..., None])[..., 0]
-        np.clip(delta, -options.max_step, options.max_step, out=delta)
-        v_full[active_idx[:, None], u[None, :]] += delta
-        PERF.count("newton.iterations")
-        PERF.count("newton.sample_iterations", active_idx.size)
-        PERF.count("newton.sample_iterations_saved",
-                   initial_count - active_idx.size)
-        per_sample = np.max(np.abs(delta), axis=-1)
-        unconverged = per_sample >= options.vtol
-        if not unconverged.any():
-            return v_full, iteration
-        stalled = per_sample >= options.stall_ratio * prev_step
-        if options.masked:
-            active_idx = active_idx[unconverged]
-            need = stalled[unconverged]
-            prev_step = per_sample[unconverged]
-        else:
-            need = stalled
-            prev_step = per_sample
-    worst = float(np.max(np.abs(delta)))
-    raise ConvergenceError(
-        f"quasi-Newton did not converge in {options.max_iter} iterations "
-        f"(last max step {worst:.3e} V)")

@@ -29,7 +29,7 @@ from ..analysis.perf import PERF
 from .backends import resolve_backend
 from .backends.base import SolverBackend
 from .mna import MnaSystem
-from .solver import FactorCache, NewtonOptions, newton_solve
+from .solver import NewtonOptions, newton_solve
 
 
 @dataclasses.dataclass(frozen=True)
@@ -191,10 +191,10 @@ def run_transient(system: MnaSystem,
         Solver backend for the reduced hot loop — a registered name, a
         :class:`~repro.spice.backends.base.SolverBackend` instance, or
         ``None`` for environment/default resolution (``REPRO_BACKEND``,
-        ``REPRO_NO_COMPILED``; see :mod:`repro.spice.backends`).  Only
-        the reduced backward-Euler path dispatches through the backend;
-        the legacy full-space loop (``REPRO_NO_REDUCED=1``, ``trap``,
-        quasi-Newton) is backend-independent.
+        else ``compiled``; see :mod:`repro.spice.backends`).  Only the
+        reduced backward-Euler path dispatches through the backend; the
+        legacy full-space loop (``REPRO_NO_REDUCED=1``, ``trap``) is
+        backend-independent.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -223,12 +223,11 @@ def run_transient(system: MnaSystem,
 
     c_over_dt = system.c_matrix / dt
 
-    if (getattr(system, "reduced", False) and method == "be"
-            and not options.quasi):
+    if getattr(system, "reduced", False) and method == "be":
         # Compiled fast loop: reduced (unknown-block) assembly, a
         # precomputed known-voltage table and preallocated kernels.
         # Bit-identical to the loop below; ``REPRO_NO_REDUCED=1`` (or
-        # the trapezoidal/chord modes) keeps the legacy loop.
+        # the trapezoidal rule) keeps the legacy loop.
         return _run_reduced_be(system, times, n_steps, v_prev, batch,
                                active, decided, decision, c_over_dt,
                                options, probes, guess_trajectory,
@@ -243,7 +242,6 @@ def run_transient(system: MnaSystem,
 
     snapshot(v_prev)
     states: Optional[List[np.ndarray]] = [v_prev] if record_states else None
-    factor = FactorCache() if options.quasi else None
     unknown = system.unknown_idx
     v_prev2: Optional[np.ndarray] = None
     total_newton = 0
@@ -291,26 +289,16 @@ def run_transient(system: MnaSystem,
                 f = f + (v - _vp[rows]) @ c_over_dt.T
                 jac = jac + c_over_dt
                 return f, jac
-
-            def res_only(v, rows, _t=t_new, _vp=v_prev):
-                f = system.static_residual(v, _t, active=rows)
-                return f + (v - _vp[rows]) @ c_over_dt.T
         else:
             def res_jac(v, rows, _t=t_new, _vp=v_prev, _fp=f_prev):
                 f, jac = system.static_residual_jacobian(v, _t, active=rows)
                 f = 0.5 * (f + _fp[rows]) + (v - _vp[rows]) @ c_over_dt.T
                 jac = 0.5 * jac + c_over_dt
                 return f, jac
-
-            def res_only(v, rows, _t=t_new, _vp=v_prev, _fp=f_prev):
-                f = system.static_residual(v, _t, active=rows)
-                return 0.5 * (f + _fp[rows]) + (v - _vp[rows]) @ c_over_dt.T
         res_jac.supports_active = True
-        res_jac.residual_only = res_only
 
         v_new, iters = newton_solve(res_jac, v_new, system.unknown_idx,
-                                    options, active=active_idx,
-                                    factor=factor)
+                                    options, active=active_idx)
         total_newton += iters
         # Frozen samples keep their full previous state (apply_known
         # above touched their source nodes; undo so they stay exactly
@@ -379,9 +367,9 @@ def _build_known_table(system: MnaSystem, times: np.ndarray) -> np.ndarray:
 class _ReducedStepper:
     """Reusable backward-Euler kernel on the unknown-node block.
 
-    Replaces the per-step ``res_jac``/``res_only`` closures of the
-    legacy loop: one instance serves every step of a run (the loop just
-    updates ``t_new``/``v_prev``), and its buffers serve every Newton
+    Replaces the per-step ``res_jac`` closures of the legacy loop: one
+    instance serves every step of a run (the loop just updates
+    ``t_new``/``v_prev``), and its buffers serve every Newton
     iteration.  The capacitive terms are merged exactly like the legacy
     closures — a full-width ``dv @ c_over_dt.T`` matmul gathered to the
     unknown block, and the precompiled ``c_over_dt_uu`` block added to
@@ -406,7 +394,6 @@ class _ReducedStepper:
         self._cap_u = np.empty((batch, u.size))
         self.t_new = 0.0
         self.v_prev: Optional[np.ndarray] = None
-        self.residual_only = self._residual_only
 
     def __call__(self, v, rows):
         b = v.shape[0]
@@ -421,11 +408,6 @@ class _ReducedStepper:
         f_u += cap.take(self._u, axis=1, out=self._cap_u[:b])
         jac_uu += self.c_over_dt_uu
         return f_u, jac_uu
-
-    def _residual_only(self, v, rows):
-        f_u = self.system.reduced_residual(v, self.t_new, active=rows)
-        dv = v - self.v_prev[rows]
-        return f_u + (dv @ self._c_over_dt_T)[:, self._u]
 
 
 def _run_reduced_be(system: MnaSystem, times: np.ndarray, n_steps: int,

@@ -1,7 +1,9 @@
 """Tests for the Eq.-3 offset-specification solver."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special, stats
 
 from repro.analysis.failure import failure_rate_at, offset_spec, sigma_level
 
@@ -51,6 +53,40 @@ class TestFailureRateAt:
             failure_rate_at(1.0, 0.0, float("inf"))
         with pytest.raises(ValueError):
             failure_rate_at(1.0, 0.0, 0.0)
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+class TestStatsNormParity:
+    """The ``scipy.special`` kernels give ``scipy.stats.norm``'s bits."""
+
+    #: Standardised arguments spanning +-40 sigma.
+    Z = np.linspace(-40.0, 40.0, 2001)
+    #: Tail probabilities from 1e-300 to 0.5.
+    P = np.geomspace(1e-300, 0.5, 2001)
+
+    def test_kernels_match_on_arrays(self):
+        np.testing.assert_array_equal(bits(special.ndtr(self.Z)),
+                                      bits(stats.norm.cdf(self.Z)))
+        np.testing.assert_array_equal(bits(special.ndtri(self.P)),
+                                      bits(stats.norm.ppf(self.P)))
+
+    @pytest.mark.parametrize("mu", [0.0, 0.013, -0.02])
+    def test_failure_rate_matches_norm_cdf(self, mu):
+        sigma = 0.021
+        for voffset in np.linspace(0.0, abs(mu) + 40.0 * sigma, 401):
+            upper = stats.norm.cdf((voffset - mu) / sigma)
+            lower = stats.norm.cdf((-voffset - mu) / sigma)
+            expected = float(1.0 - (upper - lower))
+            assert bits(failure_rate_at(voffset, mu, sigma)) == \
+                bits(expected), voffset
+
+    def test_sigma_level_matches_norm_ppf(self):
+        for p in self.P[:-1]:  # the failure rate 2p must stay below 1
+            expected = float(-stats.norm.ppf(p))
+            assert bits(sigma_level(2.0 * p)) == bits(expected), p
 
 
 class TestOffsetSpec:

@@ -207,10 +207,9 @@ class TestBackendKeys:
         cache = ResultCache(tmp_path)
         cell = fresh_cell()
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        monkeypatch.delenv("REPRO_NO_COMPILED", raising=False)
         assert cache.key_for_cell(cell) == \
             cache.key_for_cell(cell, backend="compiled")
-        monkeypatch.setenv("REPRO_NO_COMPILED", "1")
+        monkeypatch.setenv("REPRO_BACKEND", "numpy")
         assert cache.key_for_cell(cell) == \
             cache.key_for_cell(cell, backend="numpy")
 

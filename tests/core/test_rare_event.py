@@ -7,6 +7,9 @@ is checked against ground truth, not against another Monte Carlo.  A
 few small runs on the real testbench then cover the end-to-end wiring:
 ``run_cell(estimator=...)``, bit parity of the nominal population, the
 environment opt-out, cache round-trips and worker-count invariance.
+Finally both estimators are checked against a brute-force population
+of the real testbench at a rate brute force resolves, and the IS
+spec's sample cost is compared with direct Monte Carlo at 1e-9.
 """
 
 import math
@@ -15,6 +18,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from repro.circuits.sense_amp import ReadTiming
 from repro.core.experiment import ExperimentCell, run_cell
 from repro.core.montecarlo import McSettings
 from repro.core.parallel import run_cells
@@ -363,3 +367,64 @@ class TestRunCellIntegration:
             np.testing.assert_array_equal(a.offset.tail.log_weights,
                                           b.offset.tail.log_weights)
             assert a.offset.spec == b.offset.spec
+
+
+#: Two-sided 95% normal quantile of the direct-MC cost model.
+Z95 = 1.959964
+
+
+def wilson_interval(events: int, n: int):
+    """95% Wilson score interval of a binomial rate."""
+    p = events / n
+    z2 = Z95 * Z95
+    denom = 1.0 + z2 / n
+    centre = (p + z2 / (2 * n)) / denom
+    half = Z95 * math.sqrt(p * (1 - p) / n + z2 / (4 * n * n)) / denom
+    return max(0.0, centre - half), min(1.0, centre + half)
+
+
+class TestRealTestbenchTail:
+    """The estimators against brute force and direct MC on the SA."""
+
+    cell = ExperimentCell(scheme="nssa", workload=None, time_s=0.0)
+    PILOT = 100
+
+    def _run(self, size, **kwargs):
+        return run_cell(self.cell, settings=McSettings(size=size),
+                        timing=ReadTiming(dt=2e-12), measure_delay=False,
+                        offset_iterations=8, **kwargs)
+
+    def test_estimators_agree_with_brute_force(self):
+        """At a 1e-2 probe, brute force resolves the rate (20 events of
+        2000), and each estimator's interval must overlap its Wilson
+        interval.  The IS run is tilted at the probe's own rate."""
+        brute = 2000
+        mag = np.abs(self._run(brute).offset.offsets)
+        mag = np.where(np.isnan(mag), np.inf, mag)
+        probe = float(np.quantile(mag, 1.0 - 1e-2))
+        events = int(np.sum(mag >= probe))
+        assert events >= 5
+        lo, hi = wilson_interval(events, brute)
+        tails = {
+            "is": self._run(self.PILOT, failure_rate=1e-2,
+                            estimator=EstimatorConfig(
+                                kind="is", samples=400, bootstrap=100)),
+            "scaled-sigma": self._run(self.PILOT, estimator=EstimatorConfig(
+                kind="scaled-sigma", samples=200, bootstrap=100)),
+        }
+        for kind, result in tails.items():
+            rate = result.offset.tail.failure_rate_at(probe)
+            assert rate.lo <= hi and lo <= rate.hi, \
+                (kind, (rate.lo, rate.hi), (lo, hi))
+
+    def test_is_needs_100x_fewer_samples_than_direct_mc(self):
+        """Direct MC resolving the 1e-9 rate at the IS spec to the IS
+        interval's relative half-width h needs z^2 (1 - fr) / (fr h^2)
+        samples; IS (pilot included) must need at least 100x fewer."""
+        fr = 1e-9
+        tail = self._run(self.PILOT, estimator=EstimatorConfig(
+            kind="is", samples=400, bootstrap=100)).offset.tail
+        rate = tail.failure_rate_at(tail.spec_at(fr).value)
+        half = (rate.hi - rate.lo) / (2.0 * rate.value)
+        n_direct = Z95 ** 2 * (1.0 - fr) / (fr * half ** 2)
+        assert n_direct / (self.PILOT + tail.n_simulated) >= 100.0

@@ -1,5 +1,5 @@
 """Tests for the warm-start ladder (state reuse, trajectory seeding,
-quasi-Newton) and its ``REPRO_NO_WARMSTART`` opt-out."""
+extrapolation) and its ``REPRO_NO_WARMSTART`` opt-out."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from repro.core.experiment import ExperimentCell, run_cell
 from repro.core.testbench import (WARMSTART_ENV, WarmStartOptions,
                                   warmstart_default)
 from repro.models import Environment
-from repro.spice.solver import (FactorCache, NewtonOptions, newton_solve)
 from repro.workloads import paper_workload
 
 TIMING = ReadTiming(dt=1e-12)
@@ -51,8 +50,7 @@ class TestEnvToggle:
 
     def test_disabled_turns_everything_off(self):
         ws = WarmStartOptions.disabled()
-        assert not (ws.state_reuse or ws.trajectory
-                    or ws.extrapolate or ws.quasi)
+        assert not (ws.state_reuse or ws.trajectory or ws.extrapolate)
 
 
 class TestSpecEquivalence:
@@ -94,69 +92,3 @@ class TestIterationSavings:
         _, cold = run(monkeypatch, disable=True)
         assert "transient.warm_seeds" not in cold
 
-
-def cubic_problem(batch=5, n=3):
-    """Batched ``v**3 = c`` with a diagonal Jacobian; root is cbrt(c)."""
-    rng = np.random.default_rng(7)
-    c = rng.uniform(0.5, 2.0, size=(batch, n))
-    diag = np.arange(n)
-
-    def res_jac(v_rows, rows):
-        f = v_rows ** 3 - c[rows]
-        jac = np.zeros((v_rows.shape[0], n, n))
-        jac[:, diag, diag] = 3.0 * v_rows ** 2
-        return f, jac
-
-    res_jac.supports_active = True
-    res_jac.residual_only = lambda v_rows, rows: v_rows ** 3 - c[rows]
-    return c, res_jac
-
-
-class TestQuasiNewton:
-    OPTIONS = NewtonOptions(vtol=1e-10, quasi=True, max_iter=200)
-
-    def test_converges_to_full_newton_root(self):
-        c, res_jac = cubic_problem()
-        unknown = np.arange(c.shape[1])
-        v_quasi = np.ones_like(c)
-        newton_solve(res_jac, v_quasi, unknown, self.OPTIONS,
-                     factor=FactorCache())
-        np.testing.assert_allclose(v_quasi, np.cbrt(c), atol=1e-8)
-
-    def test_chord_steps_reuse_the_factorisation(self):
-        c, res_jac = cubic_problem()
-        unknown = np.arange(c.shape[1])
-        PERF.reset()
-        newton_solve(res_jac, np.ones_like(c), unknown, self.OPTIONS,
-                     factor=FactorCache())
-        counters = PERF.snapshot()["counters"]
-        assert counters["newton.chord_rows"] > 0
-        # Stall-triggered refactorisation keeps full-Jacobian work a
-        # strict subset of the iteration count.
-        assert counters["newton.refactor_rows"] \
-            < counters["newton.sample_iterations"]
-
-    def test_factor_survives_across_solves(self):
-        """A second solve near the root runs on chord steps alone."""
-        c, res_jac = cubic_problem()
-        unknown = np.arange(c.shape[1])
-        factor = FactorCache()
-        v = np.ones_like(c)
-        newton_solve(res_jac, v, unknown, self.OPTIONS, factor=factor)
-        PERF.reset()
-        v += 1e-6
-        newton_solve(res_jac, v, unknown, self.OPTIONS, factor=factor)
-        counters = PERF.snapshot()["counters"]
-        assert counters.get("newton.refactor_rows", 0) == 0
-        assert counters["newton.chord_rows"] > 0
-        np.testing.assert_allclose(v, np.cbrt(c), atol=1e-8)
-
-    def test_without_factor_uses_full_newton(self):
-        c, res_jac = cubic_problem()
-        unknown = np.arange(c.shape[1])
-        PERF.reset()
-        v = np.ones_like(c)
-        newton_solve(res_jac, v, unknown, self.OPTIONS)
-        counters = PERF.snapshot()["counters"]
-        assert "newton.chord_rows" not in counters
-        np.testing.assert_allclose(v, np.cbrt(c), atol=1e-8)

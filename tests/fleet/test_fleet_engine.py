@@ -113,6 +113,30 @@ class TestInvariance:
         assert summary["engine"] == "vector"
 
 
+class TestMemory:
+    """Peak memory follows the chunk size, not the fleet size."""
+
+    @staticmethod
+    def peak_bytes(devices, chunk):
+        import tracemalloc
+        spec = FleetSpec(n_devices=devices, block_size=chunk, years=(1.0,),
+                         phases_per_year=2, reads_per_phase=256,
+                         temps_c=((25.0, 1.0),))
+        engine = FleetEngine(spec, workers=1, chunk_size=chunk)
+        tracemalloc.start()
+        try:
+            engine.evaluate(NSSA)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_bounded_by_the_chunk(self):
+        base = self.peak_bytes(8192, 512)
+        assert self.peak_bytes(16384, 512) <= 1.25 * base
+        # The probe sees the block arrays: a 4x chunk shows up.
+        assert self.peak_bytes(8192, 2048) >= 2.0 * base
+
+
 class TestPhysics:
     """Directional checks against the paper's claims."""
 

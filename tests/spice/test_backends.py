@@ -1,8 +1,9 @@
 """Tests for the pluggable solver backends of the reduced hot loop.
 
 Covers the registry and resolution rules (explicit argument, the
-``REPRO_BACKEND`` environment variable, the ``REPRO_NO_COMPILED`` kill
-switch), the compiled backend's jit ladder and first-use self-check,
+``REPRO_BACKEND`` environment variable), the compiled backend's flavor
+derivation (``cc`` when the C kernel loads, fused numpy otherwise) and
+its first-use self-check,
 step-kernel parity against the reference ``_ReducedStepper`` path on
 the sense amplifiers and on randomised topologies, the fused ``cc``
 transient (bitwise equal to the stepped loop over the per-step ``cc``
@@ -13,7 +14,6 @@ backend.
 """
 
 import threading
-import types
 
 import numpy as np
 import pytest
@@ -23,16 +23,13 @@ from repro.core.calibration import default_mc_settings
 from repro.core.experiment import ExperimentCell, run_cell
 from repro.core.testbench import SenseAmpTestbench
 from repro.models import Environment
-from repro.spice.backends import (BACKEND_ENV, NO_COMPILED_ENV,
-                                  available_backends, backend_host_info,
-                                  get_backend, resolve_backend)
-from repro.spice.backends import _cc, _kernel_py
+from repro.spice.backends import (BACKEND_ENV, available_backends,
+                                  backend_host_info, get_backend,
+                                  resolve_backend)
+from repro.spice.backends import _cc
 from repro.spice.backends import compiled as compiled_mod
-from repro.spice.backends.base import SolverBackend
-from repro.spice.backends.compiled import (JIT_ENV, CcStepKernel,
-                                           CompiledBackend,
+from repro.spice.backends.compiled import (CcStepKernel, CompiledBackend,
                                            FusedNumpyKernel,
-                                           ScalarStepKernel,
                                            _reset_flavor_cache)
 from repro.spice.backends.maps import ReducedKernelMaps
 from repro.spice.backends.numpy_backend import NumpyStepKernel
@@ -51,13 +48,6 @@ STEP_ATOL = 1e-9
 
 needs_cc = pytest.mark.skipif(not _cc.compiler_available(),
                               reason="no C compiler on PATH")
-needs_numba = pytest.mark.skipif(compiled_mod.NUMBA_VERSION is None,
-                                 reason="numba not installed")
-
-
-#: Stand-in for an installed numba: ``njit`` returns the python kernel.
-FAKE_NUMBA = types.SimpleNamespace(
-    njit=lambda **kwargs: (lambda fn: fn), __version__="0.0-test")
 
 
 @pytest.fixture()
@@ -122,7 +112,7 @@ class TestRegistry:
         info = backend_host_info("compiled")
         assert info["backend"] == "compiled"
         assert info["kernel_version"] == compiled_mod.KERNEL_VERSION
-        assert "flavor" in info and "numba" in info and "cc" in info
+        assert "flavor" in info and "cc" in info
         assert info["cpu_slots"] >= 1
 
     def test_cache_token_names_the_kernel_version(self):
@@ -136,7 +126,6 @@ class TestRegistry:
 class TestResolution:
     def test_default_is_compiled(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV, raising=False)
-        monkeypatch.delenv(NO_COMPILED_ENV, raising=False)
         assert resolve_backend(None).name == "compiled"
 
     def test_environment_selects(self, monkeypatch):
@@ -156,23 +145,17 @@ class TestResolution:
         backend = get_backend("compiled")
         assert resolve_backend(backend) is backend
 
-    def test_kill_switch_forces_numpy(self, monkeypatch):
-        monkeypatch.setenv(NO_COMPILED_ENV, "1")
-        assert resolve_backend(None).name == "numpy"
-        assert resolve_backend("compiled").name == "numpy"
-        monkeypatch.setenv(BACKEND_ENV, "compiled")
-        assert resolve_backend(None).name == "numpy"
-
-    def test_kill_switch_spares_numpy_and_instances(self, monkeypatch):
-        monkeypatch.setenv(NO_COMPILED_ENV, "1")
-        assert resolve_backend("numpy").name == "numpy"
-        # A backend *object* is the parity-test escape hatch.
+    def test_instance_beats_environment(self, monkeypatch):
+        # A backend *object* is the parity tests' way to pin a backend.
+        monkeypatch.setenv(BACKEND_ENV, "numpy")
         assert resolve_backend(get_backend("compiled")).name == "compiled"
 
 
 class TestFlavorLadder:
+    """``cc`` when the C kernel loads, fused numpy otherwise."""
+
     def test_numpy_flavor_forced(self, monkeypatch, clean_flavor):
-        monkeypatch.setenv(JIT_ENV, "numpy")
+        monkeypatch.setattr(_cc, "load_kernel", lambda: (None, 0.0, None))
         backend = CompiledBackend()
         assert backend.describe()["flavor"] == "numpy"
         system, _ = sense_amp_system(batch=3)
@@ -180,42 +163,14 @@ class TestFlavorLadder:
                                      1e-12, 3, NewtonOptions())
         assert isinstance(kernel, FusedNumpyKernel)
 
-    def test_bogus_flavor_rejected(self, monkeypatch, clean_flavor):
-        monkeypatch.setenv(JIT_ENV, "fortran")
-        with pytest.raises(ValueError, match=JIT_ENV):
-            CompiledBackend().describe()
-
     @needs_cc
-    def test_cc_flavor(self, monkeypatch, clean_flavor):
-        monkeypatch.setenv(JIT_ENV, "cc")
+    def test_cc_flavor(self, clean_flavor):
         info = CompiledBackend().describe()
         assert info["flavor"] == "cc"
         assert info["cc"]["available"]
 
-    @needs_numba
-    def test_numba_flavor(self, monkeypatch, clean_flavor):
-        monkeypatch.setenv(JIT_ENV, "numba")
-        info = CompiledBackend().describe()
-        assert info["flavor"] == "numba"
-        assert info["numba"]["version"] == compiled_mod.NUMBA_VERSION
-
-    def test_auto_never_fails(self, monkeypatch, clean_flavor):
-        monkeypatch.delenv(JIT_ENV, raising=False)
-        assert CompiledBackend().describe()["flavor"] in \
-            ("numba", "cc", "numpy")
-
-    def test_auto_prefers_cc_over_numba(self, monkeypatch, clean_flavor):
-        monkeypatch.setattr(compiled_mod, "_numba", FAKE_NUMBA)
-        monkeypatch.delenv(JIT_ENV, raising=False)
-        expected = "cc" if _cc.compiler_available() else "numba"
-        assert CompiledBackend().describe()["flavor"] == expected
-
-    def test_auto_falls_back_to_numba_without_cc(self, monkeypatch,
-                                                 clean_flavor):
-        monkeypatch.setattr(compiled_mod, "_numba", FAKE_NUMBA)
-        monkeypatch.setattr(_cc, "load_kernel", lambda: (None, 0.0, None))
-        monkeypatch.delenv(JIT_ENV, raising=False)
-        assert CompiledBackend().describe()["flavor"] == "numba"
+    def test_auto_never_fails(self, clean_flavor):
+        assert CompiledBackend().describe()["flavor"] in ("cc", "numpy")
 
 
 class TestKernelCache:
@@ -268,9 +223,6 @@ class TestFallbackGuards:
     def test_unmasked_falls_back(self):
         assert isinstance(self._kernel(masked=False), NumpyStepKernel)
 
-    def test_quasi_falls_back(self):
-        assert isinstance(self._kernel(quasi=True), NumpyStepKernel)
-
     def test_deviceless_falls_back(self):
         from repro.spice.netlist import Circuit
         from repro.spice.waveforms import Dc
@@ -303,8 +255,18 @@ class TestFallbackGuards:
         assert isinstance(kernel, FusedNumpyKernel)
 
 
+def fused_kernels(maps, system, batch, options) -> dict:
+    """The fused kernels under test: fused numpy, and cc if it loads."""
+    kernels = {"fused-numpy": FusedNumpyKernel(maps, system, batch,
+                                               options)}
+    lib, _, _ = _cc.load_kernel()
+    if lib is not None:
+        kernels["cc"] = CcStepKernel(maps, system, batch, options, lib)
+    return kernels
+
+
 class TestStepKernelParity:
-    """Backend kernels agree with the reference stepper per step."""
+    """Fused kernels agree with the reference stepper per step."""
 
     def _compare(self, system, rng, batch):
         dt = 1e-12
@@ -318,16 +280,7 @@ class TestStepKernelParity:
                                        batch)
 
         maps = ReducedKernelMaps(system, c_over_dt, options)
-        kernels = {"fused-numpy":
-                   FusedNumpyKernel(maps, system, batch, options),
-                   "python-reference":
-                   ScalarStepKernel(maps, system, batch, options,
-                                    "pyref", _kernel_py.newton_step)}
-        if _cc.compiler_available():
-            lib, _, _ = _cc.load_kernel()
-            if lib is not None:
-                kernels["cc"] = CcStepKernel(maps, system, batch,
-                                             options, lib)
+        kernels = fused_kernels(maps, system, batch, options)
         for label, kernel in kernels.items():
             v_got, _ = solve_one_step(kernel, system, v_prev, t_new,
                                       batch)
@@ -365,10 +318,9 @@ class TestStepKernelParity:
         v_prev = step_state(system, rng, batch)
         active = np.array([0, 2, 5])
         frozen = np.array([1, 3, 4])
+        kernels = fused_kernels(maps, system, batch, options)
         for kernel in (NumpyStepKernel(system, c_over_dt, batch, options),
-                       FusedNumpyKernel(maps, system, batch, options),
-                       ScalarStepKernel(maps, system, batch, options,
-                                        "pyref", _kernel_py.newton_step)):
+                       *kernels.values()):
             v_new = v_prev.copy()
             system.apply_known(v_new, 1e-11)
             snapshot = v_new[frozen].copy()
@@ -415,14 +367,29 @@ class TestOffsetsBitwise:
                 settings=default_mc_settings(size=6, seed=2017),
                 timing=ReadTiming(dt=1e-12), offset_iterations=5,
                 measure_delay=False,
-                # Backend objects bypass REPRO_NO_COMPILED, so this
-                # parity holds even in an opted-out environment.
                 backend=get_backend(backend))
         np.testing.assert_array_equal(
             results["compiled"].offset.offsets,
             results["numpy"].offset.offsets)
         assert results["compiled"].offset.spec == \
             results["numpy"].offset.spec
+
+    def test_delays_agree_within_a_femtosecond(self):
+        """Delay crossings interpolate trajectories that agree to solver
+        tolerance, so delays may differ by a few ulp, never by 1 fs."""
+        results = {
+            backend: run_cell(aged_cell(),
+                              settings=default_mc_settings(size=6,
+                                                           seed=2017),
+                              timing=ReadTiming(dt=1e-12),
+                              offset_iterations=5,
+                              backend=get_backend(backend))
+            for backend in ("numpy", "compiled")}
+        np.testing.assert_array_equal(
+            results["compiled"].offset.offsets,
+            results["numpy"].offset.offsets)
+        assert abs(results["compiled"].delay_s
+                   - results["numpy"].delay_s) <= 1e-15
 
     def test_compiled_counters_flow(self):
         from repro.analysis.perf import PERF
@@ -476,7 +443,6 @@ def cc_backend(monkeypatch):
     if not _cc.compiler_available():
         pytest.skip("no C compiler on PATH")
     _reset_flavor_cache()
-    monkeypatch.setenv(JIT_ENV, "cc")
     backend = CompiledBackend()
     assert backend.describe()["flavor"] == "cc"
     monkeypatch.setattr(compiled_mod, "_SELFCHECK", "ok")
@@ -679,7 +645,6 @@ class TestFusedTransient:
         if not _cc.compiler_available():
             pytest.skip("no C compiler on PATH")
         from repro.analysis.perf import PERF
-        monkeypatch.setenv(JIT_ENV, "cc")
         monkeypatch.setattr(compiled_mod._SelfCheckKernel, "ATOL", -1.0)
         backend = CompiledBackend()
         system, _ = sense_amp_system(batch=3)

@@ -27,11 +27,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["cache", "evict"])
 
-    def test_bench_only_is_repeatable(self):
-        args = build_parser().parse_args(
-            ["bench", "--only", "toy", "--only", "other"])
-        assert args.only == ["toy", "other"]
-
     def test_estimator_defaults(self):
         args = build_parser().parse_args(["characterize"])
         assert args.estimator == "fit"
@@ -157,61 +152,3 @@ class TestTailCommand:
         spec = payload["tail"]["spec"]
         assert len(spec) == 3 and spec[0] > 0.0
 
-
-class TestBenchCommand:
-    def _suite(self, directory, name="toy_speedup.py", body=None):
-        script = directory / name
-        script.write_text(body or (
-            "import json, pathlib\n"
-            "def main(argv):\n"
-            "    out = pathlib.Path(__file__).with_name('BENCH_toy.json')\n"
-            "    out.write_text(json.dumps({'argv': list(argv)}))\n"
-            "    return 0\n"))
-        return script
-
-    def test_list_discovers_suites(self, tmp_path, capsys):
-        self._suite(tmp_path)
-        self._suite(tmp_path, "other_speedup.py")
-        (tmp_path / "not_a_suite.py").write_text("")
-        assert main(["bench", "--dir", str(tmp_path), "--list"]) == 0
-        out = capsys.readouterr().out.splitlines()
-        assert out == ["other_speedup", "toy_speedup"]
-
-    def test_runs_suite_with_passthrough_args(self, tmp_path, capsys):
-        import json
-        self._suite(tmp_path)
-        code = main(["bench", "--dir", str(tmp_path), "--only", "toy",
-                     "--", "--mc", "4"])
-        assert code == 0
-        doc = json.loads((tmp_path / "BENCH_toy.json").read_text())
-        assert doc["argv"] == ["--mc", "4"]
-
-    def test_repeated_only_selects_the_union(self, tmp_path, capsys):
-        self._suite(tmp_path)
-        self._suite(tmp_path, "other_speedup.py")
-        self._suite(tmp_path, "third_speedup.py")
-        assert main(["bench", "--dir", str(tmp_path), "--list",
-                     "--only", "toy", "--only", "other"]) == 0
-        out = capsys.readouterr().out.splitlines()
-        assert out == ["other_speedup", "toy_speedup"]
-
-    def test_only_matches_exact_stem(self, tmp_path, capsys):
-        self._suite(tmp_path)
-        self._suite(tmp_path, "other_speedup.py")
-        assert main(["bench", "--dir", str(tmp_path), "--list",
-                     "--only", "toy_speedup"]) == 0
-        assert capsys.readouterr().out.splitlines() == ["toy_speedup"]
-
-    def test_failing_suite_fails_run(self, tmp_path, capsys):
-        self._suite(tmp_path, body="def main(argv):\n    return 1\n")
-        assert main(["bench", "--dir", str(tmp_path)]) == 1
-        assert "failed suites" in capsys.readouterr().err
-
-    def test_empty_directory_errors(self, tmp_path, capsys):
-        assert main(["bench", "--dir", str(tmp_path)]) == 1
-        assert "no *_speedup.py" in capsys.readouterr().err
-
-    def test_real_suites_discovered(self, capsys):
-        assert main(["bench", "--list"]) == 0
-        out = capsys.readouterr().out
-        assert "reduced_speedup" in out
