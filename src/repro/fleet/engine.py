@@ -3,12 +3,14 @@
 :class:`FleetEngine` drives :mod:`repro.fleet.sampling` over a whole
 population: sampling blocks are grouped into *chunks* (a memory bound —
 one chunk's trap arrays live at a time), chunks fan out across worker
-processes through :func:`repro.core.parallel.run_tasks`, and per-block
-partial statistics are merged **in block order** with plain Python
-float accumulation.  Because every random draw is spawn-keyed per block
-and the merge order is fixed, the summary is bitwise identical for any
-``chunk_size`` / ``workers`` combination — and for the
-``REPRO_NO_FLEETVEC`` reference loop (pinned by ``tests/fleet``).
+processes through :func:`repro.core.parallel.run_tasks`, and each chunk
+returns one partial: its blocks' integer statistics summed, their float
+sums kept per block for the merge to fold **in block order** with plain
+Python float accumulation.  Because every random draw is spawn-keyed
+per block and the merge order is fixed, the summary is bitwise
+identical for any ``chunk_size`` / ``workers`` combination — and for
+the ``REPRO_NO_FLEETVEC`` reference loop (pinned by ``tests/fleet``).
+Memory held by the partials grows with the number of chunks.
 
 Summaries are JSON-primitive dictionaries so they can be journaled,
 cached (``ResultCache`` doc entries) and served over HTTP unchanged.
@@ -32,48 +34,65 @@ from .spec import FleetSpec, MitigationPolicy
 QUANTILES = (0.5, 0.9, 0.99, 0.999)
 
 
+def _fold(acc: Optional[Dict], year: Dict, sums: Sequence) -> Dict:
+    """Add one checkpoint's partial into ``acc`` (a new one if ``None``).
+
+    Counts, histograms, workload tallies and the extremes are exact
+    under any grouping; the float ``(sum, sumsq)`` pairs in ``sums``
+    are only collected, per block and in block order, for
+    :func:`_merge_year` to fold.
+    """
+    if acc is None:
+        acc = {"n": 0, "out": 0, "min": float("inf"),
+               "max": float("-inf"),
+               "hist": np.zeros(HIST_BINS, dtype=np.int64),
+               "workload_n": np.zeros_like(year["workload_n"]),
+               "workload_out": np.zeros_like(year["workload_out"]),
+               "sums": []}
+    acc["n"] += year["n"]
+    acc["out"] += year["out"]
+    acc["min"] = min(acc["min"], year["min"])
+    acc["max"] = max(acc["max"], year["max"])
+    acc["hist"] += year["hist"]
+    acc["workload_n"] += year["workload_n"]
+    acc["workload_out"] += year["workload_out"]
+    acc["sums"].extend(sums)
+    return acc
+
+
 def _evaluate_chunk(spec: FleetSpec, policy: MitigationPolicy,
-                    blocks: Sequence[int]) -> List[Dict]:
-    """Worker task: evaluate consecutive blocks, return their partials."""
-    partials = []
+                    blocks: Sequence[int]) -> Dict:
+    """Worker task: evaluate consecutive blocks, return one partial.
+
+    The chunk's blocks are folded as they finish, so a chunk returns
+    one histogram per checkpoint however many blocks it holds.
+    """
+    years: List[Optional[Dict]] = [None] * len(spec.years)
     with PERF.timer("fleet.evaluate"):
         for block in blocks:
             offsets, w_idx = evaluate_block(spec, policy, block)
-            partials.append(block_stats(spec, policy, offsets, w_idx))
+            partial = block_stats(spec, policy, offsets, w_idx)
+            years = [_fold(acc, year, [(year["sum"], year["sumsq"])])
+                     for acc, year in zip(years, partial["years"])]
             PERF.count("fleet.blocks")
             PERF.count("fleet.devices", offsets.shape[1])
             if reference_loop_requested():
                 PERF.count("fleet.reference_blocks")
-    return partials
+    return {"years": years}
 
 
 def _merge_year(partials: List[Dict], year_index: int) -> Dict:
-    """Fold one checkpoint's per-block partials, in block order."""
-    n = out = 0
-    total = sumsq = 0.0
-    lo = float("inf")
-    hi = float("-inf")
-    hist = np.zeros(HIST_BINS, dtype=np.int64)
-    workload_n: Optional[np.ndarray] = None
-    workload_out: Optional[np.ndarray] = None
+    """Fold one checkpoint's per-chunk partials, in block order."""
+    acc = None
     for partial in partials:
         year = partial["years"][year_index]
-        n += year["n"]
-        out += year["out"]
-        total += year["sum"]
-        sumsq += year["sumsq"]
-        lo = min(lo, year["min"])
-        hi = max(hi, year["max"])
-        hist += year["hist"]
-        if workload_n is None:
-            workload_n = year["workload_n"].copy()
-            workload_out = year["workload_out"].copy()
-        else:
-            workload_n += year["workload_n"]
-            workload_out += year["workload_out"]
-    return {"n": n, "out": out, "sum": total, "sumsq": sumsq,
-            "min": lo, "max": hi, "hist": hist,
-            "workload_n": workload_n, "workload_out": workload_out}
+        acc = _fold(acc, year, year["sums"])
+    total = sumsq = 0.0
+    for block_sum, block_sumsq in acc.pop("sums"):
+        total += block_sum
+        sumsq += block_sumsq
+    acc.update({"sum": total, "sumsq": sumsq})
+    return acc
 
 
 def _histogram_quantile(hist: np.ndarray, n: int, q: float) -> float:
@@ -156,12 +175,10 @@ class FleetEngine:
         """Lifetime-distribution summary for one mitigation policy."""
         started = time.perf_counter()
         chunks = self._chunks()
-        chunk_partials = run_tasks(
+        partials = run_tasks(
             _evaluate_chunk,
             [(self.spec, policy, blocks) for blocks in chunks],
             workers=self.workers, timeout=timeout, cancel=cancel)
-        partials = [partial for chunk in chunk_partials
-                    for partial in chunk]
         PERF.count("fleet.chunks", len(chunks))
         PERF.count("fleet.policies")
         elapsed = time.perf_counter() - started

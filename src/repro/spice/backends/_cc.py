@@ -24,16 +24,25 @@ CPU (model and feature flags), so a shared or copied cache directory
 never hands a ``.so`` built by another compiler or for another CPU to
 ``dlopen``.  The identity is read from the file system only, so a
 cached load starts no process.  Flag sets are tried most-aggressive
-first, but fast-math is deliberately excluded: with ``-Ofast
--fopenmp-simd`` glibc routes ``exp`` through libmvec, whose vector
-lanes round differently from the scalar remainder loop, so a sample's
-waveform would depend on where it lands in the batch.  ``chunk_size``
-and the thread count are not part of the result cache key, so results
-must be invariant to batch packing — strict IEEE math with scalar libm
-calls guarantees that.  The ``compiled`` backend additionally
-self-checks the produced kernel against the fused-numpy kernel on first
-use, falling back permanently in the process if the results disagree
-(see ``compiled.py``).
+first, until one compiles and loads.
+
+The EKV softplus/logistic rows and the CLM ``tanh`` row evaluate
+``exp``, ``log1p`` and ``tanh`` through glibc's vector math library
+(libmvec) at the lane width the target macros allow: 8 lanes with
+``__AVX512F__``, 4 with ``__AVX2__``, else a 1-lane wrapper over
+scalar libm (:func:`libm_path` reports which).  One ``vmap`` helper
+per function pads a row's tail through a lane-sized buffer, so every
+sample, the tail included, goes through the same vector routine, and
+its value is a pure function of its own argument.  ``chunk_size`` and
+the thread count are not part of the result cache key, so results
+must be invariant to batch packing; the padding guarantees it without
+fast-math, which stays excluded (with ``-Ofast`` the compiler mixes
+vector lanes and a scalar remainder loop).  A glibc without the
+vector symbols (vector ``log1p``/``tanh`` arrived in 2.35) fails the
+``RTLD_NOW`` load, and the ladder builds the scalar flag set.  The
+``compiled`` backend additionally self-checks the produced kernel
+against the fused-numpy kernel on first use, falling back permanently
+in the process if the results disagree (see ``compiled.py``).
 """
 
 from __future__ import annotations
@@ -50,12 +59,20 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-#: Flag sets tried in order until one compiles.  No fast-math anywhere:
-#: results must not depend on how samples are packed into batches.
+#: Flag sets tried in order until one compiles and loads.  ``-l``
+#: entries are link libraries, passed after the source (a linker run
+#: with ``--as-needed`` drops a library named before the object).  The
+#: first set links glibc's vector libm (libmvec) at the lane width
+#: ``-march=native`` allows; the second builds the scalar-libm wrappers.
+#: No fast-math anywhere: results must not depend on how samples are
+#: packed into batches.
 CC_FLAG_SETS = (
-    "-O3 -march=native -fno-math-errno -pthread",
+    "-O3 -march=native -fno-math-errno -pthread -lmvec",
     "-O2 -pthread",
 )
+
+#: libm path of a kernel, by its vector lane width (``libm_lanes()``).
+LIBM_PATHS = {8: "mvec-avx512", 4: "mvec-avx2", 1: "scalar"}
 
 #: Unknown-block width ceiling of the stack-allocated LU buffers.
 MAX_NU = 32
@@ -68,6 +85,62 @@ C_SOURCE = r"""
 
 #define MAX_NU 32
 #define MAX_PARTS 256 /* thread ceiling of one transient_be call */
+
+/* Vector libm: glibc's libmvec at the widest lane count the target
+ * macros allow, else a 1-lane wrapper over scalar libm. */
+#if defined(__x86_64__) && defined(__AVX512F__)
+#define LANES 8
+typedef double vd __attribute__((vector_size(64)));
+vd _ZGVeN8v_exp(vd);
+vd _ZGVeN8v_log1p(vd);
+vd _ZGVeN8v_tanh(vd);
+#define VEXP _ZGVeN8v_exp
+#define VLOG1P _ZGVeN8v_log1p
+#define VTANH _ZGVeN8v_tanh
+#elif defined(__x86_64__) && defined(__AVX2__)
+#define LANES 4
+typedef double vd __attribute__((vector_size(32)));
+vd _ZGVdN4v_exp(vd);
+vd _ZGVdN4v_log1p(vd);
+vd _ZGVdN4v_tanh(vd);
+#define VEXP _ZGVdN4v_exp
+#define VLOG1P _ZGVdN4v_log1p
+#define VTANH _ZGVdN4v_tanh
+#else
+#define LANES 1
+typedef double vd;
+#define VEXP exp
+#define VLOG1P log1p
+#define VTANH tanh
+#endif
+
+int64_t libm_lanes(void) { return LANES; }
+
+/* y[i] = f(x[i]) for i < n (x == y allowed).  The row tail is padded
+ * through a lane-sized buffer, so every element goes through the same
+ * vector routine and its value depends on its own argument only. */
+#define VMAP(name, f)                                                   \
+    static void name(const double* x, double* y, int64_t n)             \
+    {                                                                   \
+        vd a;                                                           \
+        int64_t i = 0;                                                  \
+        for (; i + LANES <= n; i += LANES) {                            \
+            memcpy(&a, x + i, sizeof a);                                \
+            a = f(a);                                                   \
+            memcpy(y + i, &a, sizeof a);                                \
+        }                                                               \
+        if (i < n) {                                                    \
+            double buf[LANES] = {0.0};                                  \
+            memcpy(buf, x + i, (n - i) * sizeof(double));               \
+            memcpy(&a, buf, sizeof a);                                  \
+            a = f(a);                                                   \
+            memcpy(buf, &a, sizeof a);                                  \
+            memcpy(y + i, buf, (n - i) * sizeof(double));               \
+        }                                                               \
+    }
+VMAP(vmap_exp, VEXP)
+VMAP(vmap_log1p, VLOG1P)
+VMAP(vmap_tanh, VTANH)
 
 /* One backward-Euler Newton solve for the samples listed in active.
  * noinline: the fused transient calls this very function, so the
@@ -169,13 +242,12 @@ __attribute__((noinline)) int64_t newton_step(
             double* er = e + r * nb0;
             double* spr = sp + r * nb0;
             double* lgr = lg + r * nb0;
+            for (int64_t i = 0; i < nb; i++) er[i] = -fabs(x[i]);
+            vmap_exp(er, er, nb);
+            vmap_log1p(er, spr, nb);
             for (int64_t i = 0; i < nb; i++) {
-                double xi = x[i];
-                double ei = exp(-fabs(xi));
-                er[i] = ei;
-                double spv = log1p(ei);
-                if (xi > 0.0) spv += xi;
-                spr[i] = spv;
+                double xi = x[i], ei = er[i];
+                if (xi > 0.0) spr[i] += xi;
                 double den = 1.0 + ei;
                 lgr[i] = (xi >= 0.0) ? 1.0 / den : ei / den;
             }
@@ -188,8 +260,9 @@ __attribute__((noinline)) int64_t newton_step(
                 double t = xt[i];
                 if (t > exp_clip) t = exp_clip;
                 if (t < -exp_clip) t = -exp_clip;
-                tr[i] = tanh(t);
+                tr[i] = t;
             }
+            vmap_tanh(tr, tr, nb);
         }
         /* EKV core + mobility degradation + CLM, currents and stamps */
         for (int64_t j = 0; j < nd; j++) {
@@ -574,6 +647,11 @@ def compiler_available() -> bool:
     return shutil.which("cc") is not None
 
 
+def libm_path(lib) -> str:
+    """How ``lib`` evaluates exp/log1p/tanh: a ``LIBM_PATHS`` value."""
+    return LIBM_PATHS[int(lib.libm_lanes())]
+
+
 def _cache_dir() -> str:
     base = os.environ.get("REPRO_CACHE_DIR")
     if not base:
@@ -633,6 +711,8 @@ def _setup_argtypes(lib) -> None:
         ptr_f, ptr_f,               # dev_c, scal
         i64, i64, i64, i64,         # n, nu, nd, max_iter
     ]
+    lib.libm_lanes.restype = ctypes.c_int64
+    lib.libm_lanes.argtypes = []
     lib.newton_step.restype = ctypes.c_int64
     lib.newton_step.argtypes = [
         ptr_f, ptr_f, ptr_i, i64,   # v, v_prev, active, na
@@ -674,8 +754,11 @@ def _compile(flags: str, directory: str) -> Tuple[Optional[object], float,
             fh.write(C_SOURCE)
         fd, tmp_so = tempfile.mkstemp(suffix=".so", dir=directory)
         os.close(fd)
-        cmd = ["cc"] + flags.split() + ["-shared", "-fPIC", c_path,
-                                        "-o", tmp_so, "-lm"]
+        words = flags.split()
+        libs = [w for w in words if w.startswith("-l")]
+        cmd = (["cc"] + [w for w in words if w not in libs]
+               + ["-shared", "-fPIC", c_path, "-o", tmp_so] + libs
+               + ["-lm"])
         start = time.perf_counter()
         try:
             subprocess.run(cmd, check=True, capture_output=True, timeout=120)

@@ -72,7 +72,7 @@ from .numpy_backend import NumpyStepKernel
 from . import _cc
 
 #: Semantics version of the fused kernels.  Part of the cache token.
-KERNEL_VERSION = "fused-2"
+KERNEL_VERSION = "fused-3"
 
 #: Fewest active samples that earn a fused-transient thread of their own.
 MIN_SAMPLES_PER_THREAD = 8
@@ -559,7 +559,7 @@ class CompiledBackend(SolverBackend):
     kernel_version = KERNEL_VERSION
 
     def describe(self) -> dict:
-        flavor, _ = _resolve_flavor()
+        flavor, lib = _resolve_flavor()
         if _SELFCHECK == "failed":
             flavor = "numpy"
         return {
@@ -567,7 +567,8 @@ class CompiledBackend(SolverBackend):
             "kernel_version": self.kernel_version,
             "flavor": flavor,
             "cc": {"available": _cc.compiler_available(),
-                   "flags": _CC_FLAGS},
+                   "flags": _CC_FLAGS,
+                   "libm": None if lib is None else _cc.libm_path(lib)},
             "kernel_compile_ms": (round(_COMPILE_MS, 3)
                                   if _COMPILE_MS is not None else None),
             "cpu_slots": cpu_slots(),

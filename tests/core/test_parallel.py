@@ -116,10 +116,11 @@ class TestInterruption:
     """
 
     def grid(self):
-        # Enough cells that the grid cannot finish instantly.
+        # Enough cells that the grid cannot finish instantly: ~0.8 s on
+        # two workers, against the 0.2 s timeout and cancel below.
         return [ExperimentCell("nssa", paper_workload("80r0"), 1e8,
                                Environment.from_celsius(25.0, 1.0))
-                for _ in range(8)]
+                for _ in range(32)]
 
     def test_serial_timeout_raises_grid_timeout(self):
         with pytest.raises(GridTimeout):
@@ -152,7 +153,7 @@ class TestInterruption:
         with pytest.raises(GridTimeout):
             run_cells(self.grid(), settings=settings(16), timing=TIMING,
                       offset_iterations=8, workers=2, timeout=0.2)
-        # Tore down long before the ~8-cell grid could finish...
+        # Tore down long before the 32-cell grid could finish...
         assert time.monotonic() - start < 30.0
         # ...and left no orphaned pool processes behind.
         assert _no_executor_children()

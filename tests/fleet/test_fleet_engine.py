@@ -136,6 +136,20 @@ class TestMemory:
         # The probe sees the block arrays: a 4x chunk shows up.
         assert self.peak_bytes(8192, 2048) >= 2.0 * base
 
+    def test_one_partial_per_chunk(self, monkeypatch):
+        from repro.fleet import engine as fleet_engine
+        merged = []
+        merge = fleet_engine._merge_year
+        monkeypatch.setattr(
+            fleet_engine, "_merge_year",
+            lambda partials, index: merged.append(len(partials))
+            or merge(partials, index))
+        engine = FleetEngine(SMALL, workers=1, chunk_size=256)
+        chunks = len(engine._chunks())
+        assert chunks == 2 and SMALL.n_blocks == 6
+        engine.evaluate(NSSA)
+        assert merged == [chunks] * len(SMALL.years)
+
 
 class TestPhysics:
     """Directional checks against the paper's claims."""

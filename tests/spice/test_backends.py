@@ -113,14 +113,16 @@ class TestRegistry:
         assert info["backend"] == "compiled"
         assert info["kernel_version"] == compiled_mod.KERNEL_VERSION
         assert "flavor" in info and "cc" in info
+        assert info["cc"]["libm"] in (None, *_cc.LIBM_PATHS.values())
         assert info["cpu_slots"] >= 1
 
     def test_cache_token_names_the_kernel_version(self):
-        # Bumped whenever trajectories can move (fused-2: the step
-        # constant is formed in C, not by a BLAS matmul), so results
-        # of an older kernel miss the cache instead of aliasing.
+        # Bumped whenever trajectories can move (fused-3: exp, log1p
+        # and tanh go through libmvec lanes, which round differently
+        # from scalar libm), so results of an older kernel miss the
+        # cache instead of aliasing.
         assert get_backend("compiled").cache_token() == {
-            "name": "compiled", "kernel": "fused-2"}
+            "name": "compiled", "kernel": "fused-3"}
 
 
 class TestResolution:
@@ -526,6 +528,83 @@ def random_scenario(seed, backend):
     return results
 
 
+#: Samples in the shared pool of the lane-boundary cases.
+LANE_POOL = 17
+
+#: (pool rows, sample mask) around the 4- and 8-lane vector-libm
+#: boundaries: whole batches of 1/7/8/9/17, and masks that leave 1-3
+#: active samples in a lane tail (the kernel packs active samples).
+LANE_CASES = (
+    (range(1), None), (range(7), None), (range(8), None),
+    (range(9), None), (range(17), None),
+    (range(7), [1, 5]), (range(9), [8]),
+    (range(17), [0, 1, 2, 3, 4, 5, 6, 8, 9, 16]),
+    (range(17), [2, 3, 4, 5, 6, 7, 9, 10, 11, 13, 15]),
+    (range(8, 17), [9, 12, 16]),
+)
+
+
+def lane_reads(rows, active, backend):
+    """An unseeded read recording states, then a read seeded from it,
+    masked to the ``active`` pool rows and stopped by the latch
+    decision, over ``rows`` of a shared sample pool."""
+    rows = np.asarray(rows)
+    bench = SenseAmpTestbench(build_nssa(),
+                              Environment.from_celsius(25.0, 1.0),
+                              batch_size=rows.size,
+                              timing=ReadTiming(dt=1e-12), backend=backend)
+    rng = np.random.default_rng(LANE_POOL)
+    bench.set_vth_shifts({name: rng.normal(0.0, 0.03, LANE_POOL)[rows]
+                          for name in bench.system.vth_shifts()})
+    vin = rng.uniform(-0.02, 0.02, LANE_POOL)[rows]
+    mask = None if active is None else np.isin(rows, active)
+    first = bench.run_read(vin, probes=("s", "sbar"), record_states=True)
+    read = bench.run_read(vin, probes=("s", "sbar"),
+                          decision=bench.decision_spec(), sample_mask=mask,
+                          guess_trajectory=first.states,
+                          record_states=True)
+    return first, read
+
+
+def assert_sample_matches_solo(runs, column, solo) -> None:
+    """Sample ``column`` of batched reads equals a batch-1 run's bits;
+    after the solo run stopped (decided) the sample stays frozen."""
+    for batched, alone in zip(runs, solo):
+        steps = alone.times.size
+        np.testing.assert_array_equal(bits(batched.times[:steps]),
+                                      bits(alone.times))
+        states = batched.states[:, column]
+        np.testing.assert_array_equal(bits(states[:steps]),
+                                      bits(alone.states[:, 0]))
+        np.testing.assert_array_equal(
+            bits(states[steps:]),
+            bits(np.broadcast_to(states[steps - 1],
+                                 states[steps:].shape)))
+        for node in alone.voltages:
+            np.testing.assert_array_equal(
+                bits(batched.voltages[node][:steps, column]),
+                bits(alone.voltages[node][:, 0]), err_msg=node)
+        np.testing.assert_array_equal(bits(batched.final[column]),
+                                      bits(alone.final[0]))
+        if alone.decided is not None:
+            assert batched.decided[column] == alone.decided[0]
+
+
+def assert_lanes_match_solo(backend) -> None:
+    """Every active sample of every ``LANE_CASES`` batch reproduces the
+    bits of its own batch-1 run."""
+    solo = {}
+    for rows, active in LANE_CASES:
+        runs = lane_reads(rows, active, backend)
+        assert runs[1].decided.any()
+        for column, row in enumerate(rows):
+            if active is not None and row not in active:
+                continue
+            if row not in solo:
+                solo[row] = lane_reads([row], None, backend)
+            assert_sample_matches_solo(runs, column, solo[row])
+
+
 class TestFusedTransient:
     """The fused loop equals the stepped cc loop bit for bit."""
 
@@ -586,6 +665,7 @@ class TestFusedTransient:
                                         cc_backend)
         assert_sa_bitwise(one, many)
         assert one_counts == many_counts
+        assert_lanes_match_solo(cc_backend)
 
     def test_partitions_without_active_samples(self, cc_backend,
                                                monkeypatch):
@@ -625,6 +705,7 @@ class TestFusedTransient:
                 extrapolate=True, backend=cc_backend)
         np.testing.assert_array_equal(bits(runs[6].probe("s")[:, 3]),
                                       bits(runs[1].probe("s")[:, 0]))
+        assert_lanes_match_solo(cc_backend)
 
     def test_errors_match_the_stepped_loop(self, cc_backend, monkeypatch):
         system, _ = sense_amp_system(batch=6)
@@ -716,6 +797,69 @@ class TestCpuSlots:
                 worker.stop(timeout=5.0)
 
 
+@pytest.fixture(scope="module")
+def scalar_lib(tmp_path_factory):
+    """The kernel built with the scalar-libm flag set, in its own cache."""
+    if not _cc.compiler_available():
+        pytest.skip("no C compiler on PATH")
+    lib, _, _ = _cc._compile(_cc.CC_FLAG_SETS[-1],
+                             str(tmp_path_factory.mktemp("cc-scalar")))
+    assert lib is not None
+    return lib
+
+
+class TestLibmPaths:
+    """Vector (libmvec) and scalar libm builds give the same results,
+    and a vector build that cannot load falls back to the scalar one."""
+
+    @pytest.mark.parametrize("kind", ["nssa", "issa"])
+    def test_scalar_build_matches_the_vector_build(self, kind, scalar_lib,
+                                                   monkeypatch,
+                                                   clean_flavor):
+        vector_lib, _, flags = _cc.load_kernel()
+        assert _cc.libm_path(scalar_lib) == "scalar"
+        results = []
+        for lib in (vector_lib, scalar_lib):
+            monkeypatch.setattr(_cc, "load_kernel",
+                                lambda lib=lib: (lib, 0.0, flags))
+            _reset_flavor_cache()
+            backend = CompiledBackend()
+            assert backend.describe()["cc"]["libm"] == _cc.libm_path(lib)
+            results.append(run_cell(
+                aged_cell(kind),
+                settings=default_mc_settings(size=16, seed=2017),
+                timing=ReadTiming(dt=1e-12), backend=backend))
+            assert compiled_mod._SELFCHECK == "ok"
+        vector, scalar = results
+        np.testing.assert_array_equal(bits(vector.offset.offsets),
+                                      bits(scalar.offset.offsets))
+        assert vector.offset.spec == scalar.offset.spec
+        assert abs(vector.delay_s - scalar.delay_s) <= 1e-15
+
+    @needs_cc
+    def test_unloadable_vector_symbols_demote_to_scalar(self, monkeypatch,
+                                                        tmp_path,
+                                                        clean_flavor):
+        vector_lib, _, _ = _cc.load_kernel()
+        if _cc.libm_path(vector_lib) == "scalar":
+            pytest.skip("no vector libm on this host")
+        # Renamed vector symbols link (a shared object may leave symbols
+        # undefined) but fail dlopen, as on a glibc without vector log1p.
+        missing = " ".join(f"-D{sym}={sym}_missing"
+                           for sym in ("_ZGVeN8v_log1p", "_ZGVdN4v_log1p"))
+        flag_sets = (f"{_cc.CC_FLAG_SETS[0]} {missing}",
+                     _cc.CC_FLAG_SETS[1])
+        monkeypatch.setattr(_cc, "CC_FLAG_SETS", flag_sets)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        assert _cc._compile(flag_sets[0], str(tmp_path))[0] is None
+        lib, _, flags = _cc.load_kernel()
+        assert flags == flag_sets[1]
+        assert _cc.libm_path(lib) == "scalar"
+        info = CompiledBackend().describe()
+        assert info["flavor"] == "cc"
+        assert info["cc"]["libm"] == "scalar"
+
+
 class TestKernelCacheTag:
     """The .so cache key covers the compiler binary and the host CPU."""
 
@@ -753,3 +897,22 @@ class TestKernelCacheTag:
     def test_flag_sets_link_pthreads(self):
         assert all("-pthread" in flags.split()
                    for flags in _cc.CC_FLAG_SETS)
+
+    def test_link_libraries_follow_the_source(self, monkeypatch,
+                                              tmp_path):
+        # A linker run with --as-needed drops a library named before
+        # the object that needs it.
+        commands = []
+
+        def run(cmd, **kwargs):
+            commands.append(cmd)
+            raise OSError("not compiling")
+
+        monkeypatch.setattr(_cc.subprocess, "run", run)
+        flags = _cc.CC_FLAG_SETS[0]
+        assert "-lmvec" in flags.split()
+        assert _cc._compile(flags, str(tmp_path)) == (None, 0.0, False)
+        (cmd,) = commands
+        source = next(i for i, word in enumerate(cmd)
+                      if word.endswith(".c"))
+        assert cmd.index("-lmvec") > source
