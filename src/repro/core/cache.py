@@ -8,15 +8,13 @@ result: the canonicalised netlist, the Monte-Carlo seed/size/mismatch
 model, the aging model, the read timing, the spec failure-rate target,
 the measurement flags and bisection depth, the package version, a
 code-version salt (bump :data:`CACHE_SALT` whenever a numerical code
-change invalidates old entries), the warm-start toggle (so an
-``REPRO_NO_WARMSTART=1`` verification run recomputes rather than
-trivially replaying the cached value), the resolved solver backend's
+change invalidates old entries), the resolved solver backend's
 ``cache_token()`` (backend id + kernel version, so ``numpy`` and
 ``compiled`` results never mix), and the resolved rare-event
 estimator configuration (``None`` on the paper's fit path), so tail
 estimates and brute-force entries never share a key.  ``chunk_size`` is deliberately
-excluded — chunking controls peak memory, not the statistics (results
-agree to solver tolerance; bit-identical with warm starts off).
+excluded — chunking controls peak memory, not the statistics (chunked
+results are bit-identical to the unchunked run).
 
 The **value** is the :class:`~repro.core.experiment.CellResult`
 payload: the per-sample offset population and mean delay in an ``.npz``
@@ -126,7 +124,6 @@ class ResultCache:
     def key_for(self, design: Any, cell: Any, settings: Any, aging: Any,
                 timing: Any, failure_rate: float, measure_offset: bool,
                 measure_delay: bool, offset_iterations: int,
-                warmstart: Optional[bool] = None,
                 estimator: Any = None,
                 backend: Any = None) -> str:
         """SHA-256 key of one cell characterisation.
@@ -144,9 +141,6 @@ class ResultCache:
         """
         from .. import __version__
         from ..spice.backends import resolve_backend
-        if warmstart is None:
-            from .testbench import warmstart_default
-            warmstart = warmstart_default()
         payload = {
             "salt": CACHE_SALT,
             "version": __version__,
@@ -164,7 +158,6 @@ class ResultCache:
             "measure_offset": measure_offset,
             "measure_delay": measure_delay,
             "offset_iterations": offset_iterations,
-            "warmstart": bool(warmstart),
             "estimator": _canon(estimator),
             "backend": resolve_backend(backend).cache_token(),
         }
@@ -178,7 +171,6 @@ class ResultCache:
                      measure_offset: bool = True,
                      measure_delay: bool = True,
                      offset_iterations: int = 14,
-                     warmstart: Optional[bool] = None,
                      estimator: Any = None,
                      backend: Any = None) -> str:
         """Key of a cell with the same defaults :func:`run_cell` applies.
@@ -206,7 +198,6 @@ class ResultCache:
             measure_offset=measure_offset,
             measure_delay=measure_delay,
             offset_iterations=offset_iterations,
-            warmstart=warmstart,
             estimator=estimator,
             backend=backend)
 

@@ -13,7 +13,6 @@ so characterisation code can fire batched read operations and measure:
 from __future__ import annotations
 
 import dataclasses
-import os
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -50,58 +49,18 @@ DECISION_THRESHOLD_FRAC = 0.15
 #: time is on record.
 DELAY_DECISION_FRAC = 0.6
 
-#: Environment opt-out: set to a non-empty value (other than ``0``) to
-#: disable every warm-start mechanism and reproduce the cold-start
-#: characterisation ladder exactly.
-WARMSTART_ENV = "REPRO_NO_WARMSTART"
+#: Per-sample alignment gate [V] for trajectory seeds: a sign read
+#: seeds a sample's Newton guesses from the previous read's recorded
+#: trajectory only while the two states lie within this distance, so a
+#: trajectory that latched the other way is rejected per sample.
+GUESS_GATE = 0.2
 
-
-def warmstart_default() -> bool:
-    """True unless ``REPRO_NO_WARMSTART`` requests the cold-start path."""
-    return os.environ.get(WARMSTART_ENV, "0") in ("", "0")
-
-
-@dataclasses.dataclass(frozen=True)
-class WarmStartOptions:
-    """Reuse policy for the characterisation ladder's repeated solves.
-
-    ``state_reuse`` is **bit-identical**: the shared pre-read operating
-    point is the same vector whether built once or per call
-    (``run_transient`` copies it and re-applies the waveforms).
-    ``trajectory`` and ``extrapolate`` change the Newton starting
-    point, so their results agree with the cold start only to solver
-    tolerance — which is why enabling either also tightens the
-    transient Newton ``vtol`` by ``vtol_factor`` (the documented
-    tolerance contract; see docs/simulator.md).
-    """
-
-    #: Build the pre-read operating point once per testbench and reuse
-    #: it across all bisection iterations and sign/delay reads.
-    state_reuse: bool = True
-    #: Seed each bisection transient's Newton iterations per time step
-    #: from the previous iteration's recorded trajectory (its
-    #: step-to-step increment applied to the current state).
-    trajectory: bool = True
-    #: Seed steps without a trajectory by linear extrapolation from the
-    #: previous two accepted points.
-    extrapolate: bool = True
-    #: Transient Newton ``vtol`` multiplier applied while ``trajectory``
-    #: or ``extrapolate`` is active.
-    vtol_factor: float = 0.1
-    #: Per-sample alignment gate [V] for trajectory seeds.
-    guess_gate: float = 0.2
-
-    @classmethod
-    def from_env(cls) -> "WarmStartOptions":
-        """Default policy, honouring ``REPRO_NO_WARMSTART``."""
-        if warmstart_default():
-            return cls()
-        return cls.disabled()
-
-    @classmethod
-    def disabled(cls) -> "WarmStartOptions":
-        """Cold-start policy (the legacy, pre-warm-start behaviour)."""
-        return cls(state_reuse=False, trajectory=False, extrapolate=False)
+#: Transient Newton ``vtol`` multiplier.  Trajectory seeds and
+#: extrapolated guesses move Newton's starting point, so the transient
+#: solves run under a tightened tolerance; results then agree with a
+#: cold start to within the documented tolerance contract (see
+#: docs/simulator.md).
+VTOL_FACTOR = 0.1
 
 
 def default_probes(design: SenseAmpDesign) -> Tuple[str, ...]:
@@ -113,6 +72,13 @@ def default_probes(design: SenseAmpDesign) -> Tuple[str, ...]:
 
 class SenseAmpTestbench:
     """Batched read-operation driver for one SA design at one corner.
+
+    Repeated solves start warm: every transient starts from one cached
+    pre-read state, each sign read seeds its Newton guesses per time
+    step from the previous sign read's recorded trajectory (gated by
+    :data:`GUESS_GATE`), and steps without a seed extrapolate linearly
+    from the previous two accepted points.  The transient Newton
+    ``vtol`` is tightened by :data:`VTOL_FACTOR` to match.
 
     Parameters
     ----------
@@ -131,10 +97,6 @@ class SenseAmpTestbench:
         decision is irreversible (see :class:`DecisionSpec`); the
         measured offsets are unchanged because only the post-decision
         tail of the waveform is skipped.
-    warmstart:
-        Reuse policy for repeated solves (see :class:`WarmStartOptions`);
-        defaults to :meth:`WarmStartOptions.from_env`, i.e. fully warm
-        unless ``REPRO_NO_WARMSTART`` is set.
     backend:
         Solver backend for the transient hot loop — a name, a
         :class:`~repro.spice.backends.base.SolverBackend` instance, or
@@ -147,7 +109,6 @@ class SenseAmpTestbench:
                  timing: ReadTiming = ReadTiming(),
                  newton: NewtonOptions = NewtonOptions(),
                  early_decision: bool = True,
-                 warmstart: Optional[WarmStartOptions] = None,
                  backend: Union["SolverBackend", str, None] = None) -> None:
         self.design = design
         self.env = env
@@ -158,17 +119,8 @@ class SenseAmpTestbench:
         #: (resolved once, so a mid-run environment change cannot split
         #: a characterisation across backends).
         self.backend = resolve_backend(backend)
-        self.warmstart = (WarmStartOptions.from_env()
-                          if warmstart is None else warmstart)
-        # Trajectory seeding and extrapolation change the Newton
-        # starting point, so the transient solves run under a tightened
-        # tolerance to keep results within the documented envelope of
-        # the cold-start path.
-        if self.warmstart.trajectory or self.warmstart.extrapolate:
-            self._transient_newton = dataclasses.replace(
-                newton, vtol=newton.vtol * self.warmstart.vtol_factor)
-        else:
-            self._transient_newton = newton
+        self._transient_newton = dataclasses.replace(
+            newton, vtol=newton.vtol * VTOL_FACTOR)
         self.system = MnaSystem(design.circuit, env.temperature_k,
                                 batch_size=batch_size)
         self._initial_template: Optional[np.ndarray] = None
@@ -194,12 +146,8 @@ class SenseAmpTestbench:
         source waveforms at t=0, so per-call bitline levels still take
         effect.  Caching the template is bit-identical to rebuilding it
         (the unknown-node initial conditions do not depend on the read
-        input); with ``warmstart.state_reuse`` off it is rebuilt per
-        call anyway to keep the opt-out path literal.
+        input).
         """
-        if not self.warmstart.state_reuse:
-            return self.system.initial_full_vector(
-                0.0, self.design.initial_conditions(self.env.vdd))
         if self._initial_template is None:
             self._initial_template = self.system.initial_full_vector(
                 0.0, self.design.initial_conditions(self.env.vdd))
@@ -250,7 +198,8 @@ class SenseAmpTestbench:
         ``sample_mask`` excludes samples from the integration entirely
         (e.g. bisection samples already flagged out-of-range).
         ``guess_trajectory``/``record_states`` thread warm-start
-        trajectories through to :func:`run_transient`.
+        trajectories through to :func:`run_transient`; steps without a
+        trajectory seed extrapolate from the previous two points.
         """
         if probes is None:
             probes = default_probes(self.design)
@@ -265,8 +214,8 @@ class SenseAmpTestbench:
                              decision=decision,
                              sample_mask=sample_mask,
                              guess_trajectory=guess_trajectory,
-                             guess_gate=self.warmstart.guess_gate,
-                             extrapolate=self.warmstart.extrapolate,
+                             guess_gate=GUESS_GATE,
+                             extrapolate=True,
                              record_states=record_states,
                              backend=self.backend)
 
@@ -280,32 +229,20 @@ class SenseAmpTestbench:
         of a (possibly shortened) window; regeneration is exponential,
         so the sign is fixed long before full swing — with
         ``early_decision`` the run stops as soon as every (unmasked)
-        sample has latched past the decision threshold.
+        sample has latched past the decision threshold.  The read is
+        seeded from, and then replaces, the trajectory recorded by the
+        previous sign read of the same ``(swapped, t_window)`` kind.
         """
         decision = self.decision_spec() if self.early_decision else None
-        use_traj = self.warmstart.trajectory
         slot = ("sign", swapped, t_window)
         result = self.run_read(
             vin, swapped=swapped, probes=("s", "sbar"),
             t_window=t_window, decision=decision,
             sample_mask=sample_mask,
-            guess_trajectory=self._trajectories.get(slot)
-            if use_traj else None,
-            record_states=use_traj)
-        if use_traj and result.states is not None:
-            self._trajectories[slot] = result.states
+            guess_trajectory=self._trajectories.get(slot),
+            record_states=True)
+        self._trajectories[slot] = result.states
         return final_sign(result.differential("s", "sbar"))
-
-    @property
-    def fused_endpoints(self) -> bool:
-        """True when :meth:`resolve_sign_pair` should replace the two
-        endpoint monotonicity reads of the offset search.
-
-        Rides the reduced-assembly switch: with ``REPRO_NO_REDUCED=1``
-        the offset search falls back to two separate endpoint reads,
-        reproducing the pre-fusion baseline exactly.
-        """
-        return bool(self.system.reduced)
 
     def _fused(self) -> MnaSystem:
         """The 2x-batch sibling system used by fused endpoint reads.
@@ -353,28 +290,21 @@ class SenseAmpTestbench:
         waveforms = self.design.read_waveforms(vin, self.env.vdd,
                                                self.timing, swapped=swapped)
         apply_waveforms(self.design, waveforms)
-        if self.warmstart.state_reuse:
-            if self._fused_template is None:
-                self._fused_template = system.initial_full_vector(
-                    0.0, self.design.initial_conditions(self.env.vdd))
-            initial_state = self._fused_template
-        else:
-            initial_state = system.initial_full_vector(
+        if self._fused_template is None:
+            self._fused_template = system.initial_full_vector(
                 0.0, self.design.initial_conditions(self.env.vdd))
         window = self.timing.t_window if t_window is None else t_window
-        use_traj = self.warmstart.trajectory
         PERF.count("offset.endpoint_fused_runs")
         result = run_transient(
             system, window, self.timing.dt, probes=("s", "sbar"),
-            initial_state=initial_state,
+            initial_state=self._fused_template,
             options=self._transient_newton,
             decision=self.decision_spec() if self.early_decision else None,
-            extrapolate=self.warmstart.extrapolate,
-            record_states=use_traj,
+            extrapolate=True,
+            record_states=True,
             backend=self.backend)
-        if use_traj and result.states is not None:
-            self._trajectories[("sign", swapped, t_window)] = \
-                result.states[:, batch:]
+        self._trajectories[("sign", swapped, t_window)] = \
+            result.states[:, batch:]
         sign = final_sign(result.differential("s", "sbar"))
         return sign[:batch], sign[batch:]
 

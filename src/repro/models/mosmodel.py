@@ -36,7 +36,7 @@ derivatives are exercised against finite differences in the test suite.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -311,9 +311,8 @@ def stack_devices(params_list, w_over_l_list,
 def stacked_mos_current(vg: ArrayLike, vd: ArrayLike, vs: ArrayLike,
                         vb: ArrayLike, vth_shift: ArrayLike,
                         devices: StackedDevices,
-                        with_derivatives: bool = True,
-                        ) -> Tuple[ArrayLike, Optional[ArrayLike],
-                                   Optional[ArrayLike], Optional[ArrayLike]]:
+                        ) -> Tuple[ArrayLike, ArrayLike, ArrayLike,
+                                   ArrayLike]:
     """All-device drain currents (and partials) in one vectorised pass.
 
     Terminal voltages have shape ``(batch, n_dev)``; ``vth_shift`` is a
@@ -321,10 +320,6 @@ def stacked_mos_current(vg: ArrayLike, vd: ArrayLike, vs: ArrayLike,
     the same expression as :func:`mos_current` — PMOS devices are
     mirrored about the bulk via the polarity array, so mixed-polarity
     circuits evaluate in a single call.
-
-    With ``with_derivatives=False`` only the current is computed (the
-    partials come back as None) — used when refreshing the trapezoidal
-    history term, which needs no Jacobian.
 
     Returns
     -------
@@ -359,8 +354,6 @@ def stacked_mos_current(vg: ArrayLike, vd: ArrayLike, vs: ArrayLike,
 
     core = f_f - f_r
     i_d = pol * (devices.i_spec * core * clm / degr)
-    if not with_derivatives:
-        return i_d, None, None, None
 
     df_f = sp_f * lg_f
     df_r = sp_r * lg_r

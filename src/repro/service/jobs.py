@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from typing import Any, Dict, Optional, Tuple, Union
 
 #: Job lifecycle states.
@@ -64,6 +65,18 @@ class JobRequest:
 
     def validate(self) -> None:
         """Raise ``ValueError`` for any field the worker cannot honour."""
+        for name in ("time_s", "temp_c", "vdd", "dt", "timeout_s"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if self.dt <= 0.0:
+            raise ValueError("dt must be positive")
+        if self.mc < 1:
+            raise ValueError("mc must be at least 1")
+        if self.offset_iterations < 1:
+            raise ValueError("offset_iterations must be at least 1")
+        if self.chunk_size is not None and self.chunk_size < 1:
+            raise ValueError("chunk size must be positive")
         self.to_cell()
 
     def to_cell(self):

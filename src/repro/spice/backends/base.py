@@ -94,7 +94,7 @@ class SolverBackend(abc.ABC):
                     batch: int, options) -> StepKernel:
         """Build (or fetch a cached) step kernel for one transient run.
 
-        Parameters mirror what ``_run_reduced_be`` holds: the compiled
+        Parameters mirror what ``run_transient`` holds: the compiled
         ``system``, the precomputed ``c_matrix / dt`` operator, the step
         ``dt`` itself (cache key), the batch size and the
         :class:`~repro.spice.solver.NewtonOptions`.

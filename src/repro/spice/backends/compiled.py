@@ -49,8 +49,8 @@ the thread count and to batch packing.
 Offsets produced through this backend are bit-identical to the
 ``numpy`` backend (the sign decisions the bisection consumes are ulp-
 robust); raw trajectories agree to solver tolerance.  Anything the
-fused kernels do not cover exactly — unmasked solves, device-less or
-oversized systems — silently uses the reference kernel
+fused kernels do not cover exactly — device-less or oversized
+systems — silently uses the reference kernel
 (``spice.backend.fallback_steps``).
 """
 
@@ -303,8 +303,7 @@ class FusedNumpyKernel(_FusedStepBase):
                 unconverged = per_sample >= options.vtol
                 if not unconverged.any():
                     return iteration
-                if options.masked:
-                    active_idx = active_idx[unconverged]
+                active_idx = active_idx[unconverged]
         finally:
             PERF.count("newton.solves")
             PERF.count("newton.iterations", iterations)
@@ -577,8 +576,7 @@ class CompiledBackend(SolverBackend):
     def step_kernel(self, system, c_over_dt: np.ndarray, dt: float,
                     batch: int, options: NewtonOptions) -> StepKernel:
         devices = getattr(system, "_devices", None)
-        if (not options.masked or devices is None
-                or devices.polarity.shape[0] == 0
+        if (devices is None or devices.polarity.shape[0] == 0
                 or system.unknown_idx.size == 0):
             # Out of the fused kernels' contract — use the reference
             # kernel so semantics (and bits) are exactly the numpy

@@ -20,37 +20,17 @@ Conventions
 from __future__ import annotations
 
 import dataclasses
-import os
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..analysis.perf import PERF
-from ..models.mosmodel import (mos_current, stack_devices,
-                               stacked_eval_workspace, stacked_mos_current,
-                               stacked_mos_current_into)
+from ..models.mosmodel import (stack_devices, stacked_eval_workspace,
+                               stacked_mos_current, stacked_mos_current_into)
 from .netlist import Circuit, Mosfet, is_ground
 
 #: Conductance from every node to ground for conditioning [S].
 GMIN_DEFAULT = 1e-9
-
-#: Environment switch disabling the stacked-device fast path: every
-#: device is then evaluated by the legacy per-device loop.
-FASTPATH_ENV = "REPRO_NO_FASTPATH"
-
-#: Environment switch disabling the reduced (unknown-block) assembly: the
-#: transient engine then falls back to full node-space residual/Jacobian
-#: assembly with the solver slicing the unknown block per iteration —
-#: the reference the reduced assembly is pinned to bit for bit.
-REDUCED_ENV = "REPRO_NO_REDUCED"
-
-
-def _fastpath_default() -> bool:
-    return os.environ.get(FASTPATH_ENV, "0") != "1"
-
-
-def _reduced_default() -> bool:
-    return os.environ.get(REDUCED_ENV, "0") != "1"
 
 
 @dataclasses.dataclass
@@ -82,27 +62,13 @@ class MnaSystem:
     """
 
     def __init__(self, circuit: Circuit, temperature_k: float,
-                 batch_size: int = 1, gmin: float = GMIN_DEFAULT,
-                 stacked: Optional[bool] = None,
-                 reduced: Optional[bool] = None) -> None:
+                 batch_size: int = 1, gmin: float = GMIN_DEFAULT) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.circuit = circuit
         self.temperature_k = float(temperature_k)
         self.batch_size = int(batch_size)
         self.gmin = float(gmin)
-        #: Evaluate all devices in one stacked numpy pass (fast path)
-        #: instead of one Python call per device.  ``None`` follows the
-        #: REPRO_NO_FASTPATH environment switch.
-        self.stacked = _fastpath_default() if stacked is None else stacked
-        #: Assemble residual/Jacobian directly on the unknown-node block
-        #: (:meth:`reduced_residual_jacobian`) so the transient engine
-        #: and Newton solver never materialise or slice full ``(batch,
-        #: n, n)`` operators.  Requires the stacked fast path (the
-        #: reduced assembly gathers from its scatter-matmul products);
-        #: ``None`` follows the REPRO_NO_REDUCED environment switch.
-        self.reduced = self.stacked and (
-            _reduced_default() if reduced is None else reduced)
 
         names = circuit.node_names()
         #: node name -> index; ground is index 0.
@@ -238,12 +204,12 @@ class MnaSystem:
     def _build_reduced_maps(self) -> None:
         """Compile-time gather maps and operator blocks (reduced path).
 
-        The reduced assembly keeps the *same* full-width matmuls as the
-        full-space path and then gathers the unknown-block elements with
-        ``np.take`` — BLAS picks shape-dependent accumulation orders, so
-        matmuls on *sliced* operands are not bitwise identical to
-        slicing the full product; element gathers and elementwise adds
-        are.  The static operator blocks (``g_static_uu`` etc.) are
+        The reduced assembly keeps the *same* full-width matmuls as
+        :meth:`static_residual_jacobian` and then gathers the
+        unknown-block elements with ``np.take`` — BLAS picks
+        shape-dependent accumulation orders, so matmuls on *sliced*
+        operands are not bitwise identical to slicing the full product;
+        element gathers and elementwise adds are.  The static operator blocks (``g_static_uu`` etc.) are
         element copies of the full matrices, so adding them after the
         gather reproduces the full-space bits exactly.
         """
@@ -409,44 +375,13 @@ class MnaSystem:
         batch = v_full.shape[0]
         f = v_full @ self.g_static.T
         self._add_isources(f, time_s, active)
-        if self.stacked:
-            i_d, gm, gd, gs = self._stacked_eval(v_full, active, True)
-            f += i_d @ self._f_scatter
-            stamps = np.concatenate((gm, gd, gs), axis=1)
-            jac = (stamps @ self._jac_scatter).reshape(
-                batch, self.n_nodes, self.n_nodes)
-            jac += self.g_static
-            return f, jac
-        jac = np.broadcast_to(self.g_static,
-                              (batch, self.n_nodes, self.n_nodes)).copy()
-        for slot in self._mosfets:
-            self._add_mosfet(f, jac, v_full, slot, active)
+        i_d, gm, gd, gs = self._stacked_eval(v_full, active)
+        f += i_d @ self._f_scatter
+        stamps = np.concatenate((gm, gd, gs), axis=1)
+        jac = (stamps @ self._jac_scatter).reshape(
+            batch, self.n_nodes, self.n_nodes)
+        jac += self.g_static
         return f, jac
-
-    def static_residual(self, v_full: np.ndarray, time_s: float,
-                        active: Optional[np.ndarray] = None) -> np.ndarray:
-        """Residual only — no Jacobian assembly.
-
-        Used by the trapezoidal transient to refresh its history term
-        after an accepted step, where the Jacobian of the accepted point
-        is never needed.
-        """
-        f = v_full @ self.g_static.T
-        self._add_isources(f, time_s, active)
-        if self.stacked:
-            i_d, _, _, _ = self._stacked_eval(v_full, active, False)
-            f += i_d @ self._f_scatter
-            return f
-        for slot in self._mosfets:
-            d, g_, s = slot.drain, slot.gate, slot.source
-            i_d, _, _, _ = mos_current(
-                v_full[:, g_], v_full[:, d], v_full[:, s],
-                v_full[:, slot.bulk], self._slot_shift(slot, active),
-                slot.element.params, slot.element.w_over_l,
-                self.temperature_k)
-            f[:, d] += i_d
-            f[:, s] -= i_d
-        return f
 
     def reduced_residual_jacobian(self, v_full: np.ndarray,
                                   time_s: float,
@@ -470,10 +405,6 @@ class MnaSystem:
         transient stepper adds its capacitive terms).
         """
         PERF.count("mna.reduced_evals")
-        if not self.stacked:
-            f, jac = self.static_residual_jacobian(v_full, time_s, active)
-            u = self.unknown_idx
-            return f[:, u], jac[:, u[:, None], u[None, :]]
         batch = v_full.shape[0]
         work = self._reduced_workspace(batch)
         f = np.matmul(v_full, self._g_static_T, out=work["f"])
@@ -518,8 +449,7 @@ class MnaSystem:
             f[:, b] -= current
 
     def _stacked_eval(self, v_full: np.ndarray,
-                      active: Optional[np.ndarray],
-                      with_derivatives: bool):
+                      active: Optional[np.ndarray]):
         """One-pass device evaluation on ``(batch, n_dev)`` gathers."""
         shifts = self._vth_shift_matrix()
         if active is not None and shifts.shape[0] != 1:
@@ -527,34 +457,7 @@ class MnaSystem:
         return stacked_mos_current(
             v_full[:, self._dev_gate], v_full[:, self._dev_drain],
             v_full[:, self._dev_source], v_full[:, self._dev_bulk],
-            shifts, self._devices, with_derivatives)
-
-    @staticmethod
-    def _slot_shift(slot: _MosfetSlot,
-                    active: Optional[np.ndarray]
-                    ) -> Union[float, np.ndarray]:
-        shift = slot.vth_shift
-        if (active is not None and isinstance(shift, np.ndarray)
-                and shift.ndim):
-            return shift[active]
-        return shift
-
-    def _add_mosfet(self, f: np.ndarray, jac: np.ndarray,
-                    v_full: np.ndarray, slot: _MosfetSlot,
-                    active: Optional[np.ndarray] = None) -> None:
-        d, g_, s = slot.drain, slot.gate, slot.source
-        i_d, gm, gd, gs = mos_current(
-            v_full[:, g_], v_full[:, d], v_full[:, s], v_full[:, slot.bulk],
-            self._slot_shift(slot, active), slot.element.params,
-            slot.element.w_over_l, self.temperature_k)
-        f[:, d] += i_d
-        f[:, s] -= i_d
-        jac[:, d, g_] += gm
-        jac[:, d, d] += gd
-        jac[:, d, s] += gs
-        jac[:, s, g_] -= gm
-        jac[:, s, d] -= gd
-        jac[:, s, s] -= gs
+            shifts, self._devices)
 
     # -- convenience -----------------------------------------------------
 

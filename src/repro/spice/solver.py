@@ -1,21 +1,21 @@
 """Batched damped Newton-Raphson solver with active-sample masking.
 
 Solves ``f(v) = 0`` on the unknown-node subset of a full node-voltage
-vector, for every Monte-Carlo sample simultaneously.  The residual/
-Jacobian callback returns full-node quantities; the solver slices the
-unknown block, performs a batched dense solve, and applies a damped
-(step-clipped) update.  Step clipping is the standard way to keep the
-strongly nonlinear exponential device characteristics from overshooting.
+vector, for every Monte-Carlo sample simultaneously.  A plain residual/
+Jacobian callback returns full-node quantities and the solver slices
+the unknown block; a callback marked ``reduced`` (the transient
+engine's stepper) evaluates only the still-active rows and returns the
+unknown block itself.  Either way the solver performs a batched dense
+solve and applies a damped (step-clipped) update.  Step clipping is the
+standard way to keep the strongly nonlinear exponential device
+characteristics from overshooting.
 
 **Active-sample masking**: batch members are mathematically independent
 (the batched Jacobian is block-diagonal per sample), so a sample whose
 step fell below the voltage tolerance is finished and drops out of the
 iteration instead of being re-solved to ``max_iter`` parity with its
-slowest sibling.  Callbacks that advertise ``supports_active = True``
-accept ``(v_rows, active_idx)`` and evaluate only the still-active
-rows, which is where the savings come from; legacy single-argument
-callbacks are still evaluated on the full batch but only the active
-members pay for the dense solve and update.
+slowest sibling.  Full-node callbacks are still evaluated on the whole
+batch, but only the active members pay for the dense solve and update.
 """
 
 from __future__ import annotations
@@ -89,9 +89,6 @@ class NewtonOptions:
     max_iter: int = MAX_ITER_DEFAULT
     #: Added to the Jacobian diagonal if a batch member is singular.
     regularisation: float = 1e-12
-    #: Drop converged samples from the iteration (fast path); disable to
-    #: reproduce the legacy run-everyone-to-global-convergence loop.
-    masked: bool = True
 
 
 ResJacFn = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
@@ -138,11 +135,10 @@ def _solve_batched_fast(jac_uu: np.ndarray, rhs: np.ndarray,
                         regularisation: float) -> np.ndarray:
     """:func:`_solve_batched` via the direct LAPACK gufunc.
 
-    Part of the reduced-compilation kernel only: the legacy
-    (``REPRO_NO_REDUCED``) path keeps the plain ``np.linalg.solve``
-    call so the opt-out baseline stays byte-for-byte the pre-reduction
-    code.  Solutions are bit-identical either way (same LAPACK loop);
-    singular batches fall back to the same per-member regularisation.
+    Used by the reduced Newton loop, which runs once per transient
+    step.  Solutions are bit-identical to :func:`_solve_batched` (same
+    LAPACK loop); singular batches fall back to the same per-member
+    regularisation.
     """
     try:
         return _gufunc_solve(jac_uu, rhs)
@@ -162,9 +158,10 @@ def newton_solve(res_jac: ResJacFn, v_full: np.ndarray,
     res_jac:
         Callback mapping the full node vector ``(batch, n)`` to the
         residual ``(batch, n)`` and Jacobian ``(batch, n, n)``.  A
-        callback with a true ``supports_active`` attribute is instead
-        called as ``res_jac(v_rows, active_idx)`` with only the
-        still-active rows (active-sample masking).
+        callback with a true ``reduced`` attribute is instead called as
+        ``res_jac(v_rows, active_idx)`` with only the still-active rows
+        and returns the unknown-block residual ``(rows, n_u)`` and
+        Jacobian ``(rows, n_u, n_u)`` (see :func:`_reduced_newton`).
     v_full:
         Full node vector; known/source entries must already be applied.
         Modified in place and also returned.
@@ -181,8 +178,7 @@ def newton_solve(res_jac: ResJacFn, v_full: np.ndarray,
     -------
     (v_full, iterations)
         ``iterations`` is the worst (deepest) per-sample iteration
-        count — identical to the legacy global count when masking is
-        off.
+        count.
 
     Raises
     ------
@@ -192,7 +188,6 @@ def newton_solve(res_jac: ResJacFn, v_full: np.ndarray,
     u = unknown_idx
     row = u[:, None]
     col = u[None, :]
-    supports_active = getattr(res_jac, "supports_active", False)
 
     if active is None:
         active_idx = np.arange(v_full.shape[0])
@@ -211,12 +206,9 @@ def newton_solve(res_jac: ResJacFn, v_full: np.ndarray,
     PERF.count("newton.solves")
     delta = None
     for iteration in range(1, options.max_iter + 1):
-        if supports_active:
-            f, jac = res_jac(v_full[active_idx], active_idx)
-        else:
-            f, jac = res_jac(v_full)
-            f = f[active_idx]
-            jac = jac[active_idx]
+        f, jac = res_jac(v_full)
+        f = f[active_idx]
+        jac = jac[active_idx]
         delta = _solve_batched(jac[:, row, col], -f[:, u],
                                options.regularisation)
         np.clip(delta, -options.max_step, options.max_step, out=delta)
@@ -229,8 +221,7 @@ def newton_solve(res_jac: ResJacFn, v_full: np.ndarray,
         unconverged = per_sample >= options.vtol
         if not unconverged.any():
             return v_full, iteration
-        if options.masked:
-            active_idx = active_idx[unconverged]
+        active_idx = active_idx[unconverged]
     worst = float(np.max(np.abs(delta)))
     raise ConvergenceError(
         f"Newton-Raphson did not converge in {options.max_iter} iterations "
@@ -245,12 +236,11 @@ def _reduced_newton(res_jac: ResJacFn, v_full: np.ndarray, u: np.ndarray,
     The callback is called as ``res_jac(v_rows, rows)`` and returns
     ``(f_u, jac_uu)`` already restricted to the unknown block — there is
     nothing to slice, and the update applies ``delta`` straight to the
-    unknown columns.  The iterate sequence is bit-identical to the
-    full-space loop (``clip(x, -s, s)`` equals the min/max pair used
-    here; the callback guarantees its outputs match the sliced
-    full-space assembly).  The callback may return workspace views; the
-    loop consumes them in place (``f_u`` is negated, ``delta`` is
-    clipped and folded into its own convergence norm).
+    unknown columns.  The update equals the full-space loop's
+    (``clip(x, -s, s)`` equals the min/max pair used here).  The
+    callback may return workspace views; the loop consumes them in
+    place (``f_u`` is negated, ``delta`` is clipped and folded into its
+    own convergence norm).
 
     Perf counters are accumulated locally and flushed once per solve
     (identical totals to the per-iteration counting of the full-space
@@ -285,8 +275,7 @@ def _reduced_newton(res_jac: ResJacFn, v_full: np.ndarray, u: np.ndarray,
             unconverged = per_sample >= options.vtol
             if not unconverged.any():
                 return v_full, iteration
-            if options.masked:
-                active_idx = active_idx[unconverged]
+            active_idx = active_idx[unconverged]
     finally:
         PERF.count("newton.solves")
         PERF.count("newton.iterations", iterations)

@@ -1,11 +1,13 @@
 """Fixed-step transient analysis with early-decision termination.
 
-Integrates the compiled system with backward Euler (optionally the
-trapezoidal rule) and a batched Newton solve per time step.  Fixed steps
-are the right trade-off here: the sense-amplifier experiments always
-simulate the same short, well-characterised window (develop phase plus
-regeneration), and a fixed grid makes the batched arithmetic simple and
-the measurements deterministic.
+Integrates the compiled system with backward Euler and a batched
+Newton solve per time step, assembled on the unknown-node block
+(:meth:`~repro.spice.mna.MnaSystem.reduced_residual_jacobian`) and
+dispatched through a solver backend.  Fixed steps are the right
+trade-off here: the sense-amplifier experiments always simulate the
+same short, well-characterised window (develop phase plus
+regeneration), and a fixed grid makes the batched arithmetic simple
+and the measurements deterministic.
 
 **Early decision** (the offset-extraction fast path): regeneration in a
 latch is exponential, so the resolved sign is fixed long before the
@@ -21,7 +23,7 @@ out-of-range).
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
@@ -29,7 +31,7 @@ from ..analysis.perf import PERF
 from .backends import resolve_backend
 from .backends.base import SolverBackend
 from .mna import MnaSystem
-from .solver import NewtonOptions, newton_solve
+from .solver import NewtonOptions
 
 
 @dataclasses.dataclass(frozen=True)
@@ -122,7 +124,6 @@ def run_transient(system: MnaSystem,
                   initial: Optional[Dict[str, float]] = None,
                   t_start: float = 0.0,
                   initial_state: Optional[np.ndarray] = None,
-                  method: str = "be",
                   options: NewtonOptions = NewtonOptions(),
                   decision: Optional[DecisionSpec] = None,
                   sample_mask: Optional[np.ndarray] = None,
@@ -133,6 +134,19 @@ def run_transient(system: MnaSystem,
                   backend: Union[SolverBackend, str, None] = None,
                   ) -> TransientResult:
     """Run a transient simulation.
+
+    The per-step Newton solve dispatches through a solver backend (see
+    :mod:`repro.spice.backends`); the rest of the loop is
+    backend-independent: a known-voltage table built once replaces
+    per-step source evaluation, probe samples land in preallocated
+    ``(n_steps + 1, batch)`` arrays, and the node vectors live in one
+    preallocated ``(n_steps + 1, batch, n)`` state array when states
+    are recorded, else cycle through a three-slot ring (``v_prev2`` /
+    ``v_prev`` / target).  A kernel with a fused whole-transient runner
+    (the ``cc`` flavor, see
+    :meth:`~repro.spice.backends.base.StepKernel.fused_transient`)
+    takes the entire loop in one call instead; the stepped loop over
+    the same kernel's per-step solve is its bitwise reference.
 
     Parameters
     ----------
@@ -153,8 +167,6 @@ def run_transient(system: MnaSystem,
     initial_state:
         Full node vector to start from (e.g. a DC operating point);
         copied, not mutated.
-    method:
-        ``"be"`` (backward Euler, default) or ``"trap"`` (trapezoidal).
     options:
         Newton solver options.
     decision:
@@ -188,20 +200,16 @@ def run_transient(system: MnaSystem,
         :attr:`TransientResult.states` for use as a later
         ``guess_trajectory``.
     backend:
-        Solver backend for the reduced hot loop — a registered name, a
-        :class:`~repro.spice.backends.base.SolverBackend` instance, or
-        ``None`` for environment/default resolution (``REPRO_BACKEND``,
-        else ``compiled``; see :mod:`repro.spice.backends`).  Only the
-        reduced backward-Euler path dispatches through the backend; the
-        legacy full-space loop (``REPRO_NO_REDUCED=1``, ``trap``) is
-        backend-independent.
+        Solver backend for the per-step Newton solve — a registered
+        name, a :class:`~repro.spice.backends.base.SolverBackend`
+        instance, or ``None`` for environment/default resolution
+        (``REPRO_BACKEND``, else ``compiled``; see
+        :mod:`repro.spice.backends`).
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if t_stop <= t_start:
         raise ValueError("t_stop must exceed t_start")
-    if method not in ("be", "trap"):
-        raise ValueError(f"unknown integration method {method!r}")
 
     n_steps = int(round((t_stop - t_start) / dt))
     times = t_start + dt * np.arange(n_steps + 1)
@@ -221,236 +229,14 @@ def run_transient(system: MnaSystem,
         diff_a = system.node_index[decision.node_a]
         diff_b = system.node_index[decision.node_b]
 
-    c_over_dt = system.c_matrix / dt
-
-    if getattr(system, "reduced", False) and method == "be":
-        # Compiled fast loop: reduced (unknown-block) assembly, a
-        # precomputed known-voltage table and preallocated kernels.
-        # Bit-identical to the loop below; ``REPRO_NO_REDUCED=1`` (or
-        # the trapezoidal rule) keeps the legacy loop.
-        return _run_reduced_be(system, times, n_steps, v_prev, batch,
-                               active, decided, decision, c_over_dt,
-                               options, probes, guess_trajectory,
-                               guess_gate, extrapolate, record_states,
-                               backend)
-
-    record: Dict[str, List[np.ndarray]] = {p: [] for p in probes}
-
-    def snapshot(v_full: np.ndarray) -> None:
-        for node in probes:
-            record[node].append(system.voltages_of(v_full, node).copy())
-
-    snapshot(v_prev)
-    states: Optional[List[np.ndarray]] = [v_prev] if record_states else None
-    unknown = system.unknown_idx
-    v_prev2: Optional[np.ndarray] = None
-    total_newton = 0
-    steps_run = 0
-    sample_steps = 0
-
-    # For the trapezoidal rule we need the static residual at the
-    # previous accepted point.
-    f_prev: Optional[np.ndarray] = None
-    if method == "trap":
-        f_prev = system.static_residual(v_prev, times[0])
-
-    PERF.count("transient.runs")
-
-    for step in range(1, n_steps + 1):
-        if not active.any():
-            break
-        active_idx = np.nonzero(active)[0]
-        t_new = times[step]
-        v_new = v_prev.copy()
-        system.apply_known(v_new, t_new)
-
-        seeded = np.zeros(active_idx.size, dtype=bool)
-        if guess_trajectory is not None and step < len(guess_trajectory):
-            traj_now = guess_trajectory[step]
-            traj_before = guess_trajectory[step - 1]
-            rows_u = active_idx[:, None], unknown[None, :]
-            seeded = np.max(np.abs(traj_before[rows_u] - v_prev[rows_u]),
-                            axis=-1) <= guess_gate
-            seed_rows = active_idx[seeded]
-            if seed_rows.size:
-                su = seed_rows[:, None], unknown[None, :]
-                v_new[su] = v_prev[su] + (traj_now[su] - traj_before[su])
-            PERF.count("transient.warm_seeds", int(seed_rows.size))
-            PERF.count("transient.warm_rejects",
-                       int(active_idx.size - seed_rows.size))
-        if extrapolate and v_prev2 is not None and not seeded.all():
-            rows = active_idx[~seeded]
-            ru = rows[:, None], unknown[None, :]
-            v_new[ru] = 2.0 * v_prev[ru] - v_prev2[ru]
-
-        if method == "be":
-            def res_jac(v, rows, _t=t_new, _vp=v_prev):
-                f, jac = system.static_residual_jacobian(v, _t, active=rows)
-                f = f + (v - _vp[rows]) @ c_over_dt.T
-                jac = jac + c_over_dt
-                return f, jac
-        else:
-            def res_jac(v, rows, _t=t_new, _vp=v_prev, _fp=f_prev):
-                f, jac = system.static_residual_jacobian(v, _t, active=rows)
-                f = 0.5 * (f + _fp[rows]) + (v - _vp[rows]) @ c_over_dt.T
-                jac = 0.5 * jac + c_over_dt
-                return f, jac
-        res_jac.supports_active = True
-
-        v_new, iters = newton_solve(res_jac, v_new, system.unknown_idx,
-                                    options, active=active_idx)
-        total_newton += iters
-        # Frozen samples keep their full previous state (apply_known
-        # above touched their source nodes; undo so they stay exactly
-        # at the point where they dropped out).
-        if active_idx.size != batch:
-            v_new[~active] = v_prev[~active]
-        if method == "trap":
-            f_prev = f_prev.copy()
-            f_prev[active_idx] = system.static_residual(
-                v_new[active_idx], t_new, active=active_idx)
-        v_prev2 = v_prev
-        v_prev = v_new
-        snapshot(v_prev)
-        if states is not None:
-            states.append(v_prev)
-        steps_run = step
-        sample_steps += active_idx.size
-
-        if decision is not None and t_new >= decision.t_min:
-            differential = v_new[:, diff_a] - v_new[:, diff_b]
-            newly = active & (np.abs(differential) >= decision.threshold)
-            if newly.any():
-                decided |= newly
-                active &= ~newly
-
-    PERF.count("transient.steps", steps_run)
-    PERF.count("transient.sample_steps", sample_steps)
-    PERF.count("transient.sample_steps_saved", batch * n_steps - sample_steps)
-    if decided is not None:
-        PERF.count("transient.samples_decided_early", int(decided.sum()))
-
-    voltages = {node: np.stack(values) for node, values in record.items()}
-    return TransientResult(times=times[:steps_run + 1], voltages=voltages,
-                           final=v_prev, newton_iterations=total_newton,
-                           decided=decided,
-                           states=None if states is None
-                           else np.stack(states))
-
-
-def _build_known_table(system: MnaSystem, times: np.ndarray) -> np.ndarray:
-    """Known-node voltages for a whole time grid in one vectorised pass.
-
-    Returns ``(n_times, batch, n_known)`` ordered like
-    ``system.known_idx``.  Sources are visited in netlist order (later
-    sources overwrite, exactly like :meth:`MnaSystem.apply_known`) and
-    each waveform is evaluated over the full grid with
-    :meth:`Waveform.values`, whose elements are bit-identical to the
-    per-step scalar ``value()`` calls of the legacy loop.  A source
-    driving ground is skipped: ground is not a known column and is
-    pinned to 0 V by construction.
-    """
-    batch = system.batch_size
-    known = system.known_idx
-    table = np.zeros((times.shape[0], batch, known.size))
-    position = {int(index): column for column, index in enumerate(known)}
-    for source in system.circuit.vsources:
-        column = position.get(system.node_index[source.node])
-        if column is None:
-            continue
-        values = np.asarray(source.waveform.values(times), dtype=float)
-        table[:, :, column] = values if values.ndim == 2 else values[:, None]
-    PERF.count("transient.known_table_builds")
-    return table
-
-
-class _ReducedStepper:
-    """Reusable backward-Euler kernel on the unknown-node block.
-
-    Replaces the per-step ``res_jac`` closures of the legacy loop: one
-    instance serves every step of a run (the loop just updates
-    ``t_new``/``v_prev``), and its buffers serve every Newton
-    iteration.  The capacitive terms are merged exactly like the legacy
-    closures — a full-width ``dv @ c_over_dt.T`` matmul gathered to the
-    unknown block, and the precompiled ``c_over_dt_uu`` block added to
-    the reduced Jacobian — so the residual/Jacobian bits match the
-    full-space path element for element.
-    """
-
-    supports_active = True
-    reduced = True
-
-    def __init__(self, system: MnaSystem, c_over_dt: np.ndarray,
-                 batch: int) -> None:
-        self.system = system
-        self._c_over_dt_T = c_over_dt.T
-        u = system.unknown_idx
-        self._u = u
-        self.c_over_dt_uu = c_over_dt[np.ix_(u, u)].copy()
-        n = system.n_nodes
-        self._vp_rows = np.empty((batch, n))
-        self._dv = np.empty((batch, n))
-        self._cap = np.empty((batch, n))
-        self._cap_u = np.empty((batch, u.size))
-        self.t_new = 0.0
-        self.v_prev: Optional[np.ndarray] = None
-
-    def __call__(self, v, rows):
-        b = v.shape[0]
-        f_u, jac_uu = self.system.reduced_residual_jacobian(
-            v, self.t_new, active=rows)
-        if b == self.v_prev.shape[0]:
-            vp = self.v_prev  # rows is sorted+unique: full size == all
-        else:
-            vp = self.v_prev.take(rows, axis=0, out=self._vp_rows[:b])
-        dv = np.subtract(v, vp, out=self._dv[:b])
-        cap = np.matmul(dv, self._c_over_dt_T, out=self._cap[:b])
-        f_u += cap.take(self._u, axis=1, out=self._cap_u[:b])
-        jac_uu += self.c_over_dt_uu
-        return f_u, jac_uu
-
-
-def _run_reduced_be(system: MnaSystem, times: np.ndarray, n_steps: int,
-                    v_prev: np.ndarray, batch: int, active: np.ndarray,
-                    decided: Optional[np.ndarray],
-                    decision: Optional[DecisionSpec],
-                    c_over_dt: np.ndarray, options: NewtonOptions,
-                    probes: Sequence[str],
-                    guess_trajectory: Optional[Sequence[np.ndarray]],
-                    guess_gate: float, extrapolate: bool,
-                    record_states: bool,
-                    backend: Union[SolverBackend, str, None] = None,
-                    ) -> TransientResult:
-    """Backward-Euler loop compiled to the unknown-node block.
-
-    The per-step Newton solve dispatches through a solver backend (see
-    :mod:`repro.spice.backends`): the ``numpy`` backend reproduces the
-    PR-3 loop (``_ReducedStepper`` + ``newton_solve``) bit for bit, the
-    ``compiled`` backend fuses the whole step into one kernel.  The
-    rest of the loop is backend-independent and mechanical vs the
-    legacy loop in :func:`run_transient`: the known-voltage table
-    replaces the per-step ``apply_known`` source loop, probe samples
-    land in preallocated ``(n_steps + 1, batch)`` arrays instead of
-    Python lists, and the node vectors live in one preallocated
-    ``(n_steps + 1, batch, n)`` state array when states are recorded,
-    else cycle through a three-slot ring (``v_prev2`` / ``v_prev`` /
-    target).
-
-    A kernel with a fused whole-transient runner (the ``cc`` flavor,
-    see :meth:`~repro.spice.backends.base.StepKernel.fused_transient`)
-    takes the entire loop below in one call instead; this loop over the
-    same kernel's per-step solve is its bitwise reference.
-    """
-    if decision is not None:
-        diff_a = system.node_index[decision.node_a]
-        diff_b = system.node_index[decision.node_b]
-
     table = _build_known_table(system, times)
     known = system.known_idx
     unknown = system.unknown_idx
-    dt = float(times[1] - times[0]) if n_steps >= 1 else 0.0
+    # The kernel's step is the grid's own spacing, not the ``dt``
+    # argument (the two differ by rounding when ``t_start`` is not 0).
+    grid_dt = float(times[1] - times[0]) if n_steps >= 1 else 0.0
     kernel = resolve_backend(backend).step_kernel(
-        system, c_over_dt, dt, batch, options)
+        system, system.c_matrix / dt, grid_dt, batch, options)
 
     probe_cols = {p: system._index_of(p) for p in probes}
     fused = kernel.fused_transient()
@@ -559,6 +345,76 @@ def _run_reduced_be(system: MnaSystem, times: np.ndarray, n_steps: int,
                            else states[:steps_run + 1])
 
 
+def _build_known_table(system: MnaSystem, times: np.ndarray) -> np.ndarray:
+    """Known-node voltages for a whole time grid in one vectorised pass.
+
+    Returns ``(n_times, batch, n_known)`` ordered like
+    ``system.known_idx``.  Sources are visited in netlist order (later
+    sources overwrite, exactly like :meth:`MnaSystem.apply_known`) and
+    each waveform is evaluated over the full grid with
+    :meth:`Waveform.values`, whose elements are bit-identical to
+    per-step scalar ``value()`` calls.  A source
+    driving ground is skipped: ground is not a known column and is
+    pinned to 0 V by construction.
+    """
+    batch = system.batch_size
+    known = system.known_idx
+    table = np.zeros((times.shape[0], batch, known.size))
+    position = {int(index): column for column, index in enumerate(known)}
+    for source in system.circuit.vsources:
+        column = position.get(system.node_index[source.node])
+        if column is None:
+            continue
+        values = np.asarray(source.waveform.values(times), dtype=float)
+        table[:, :, column] = values if values.ndim == 2 else values[:, None]
+    PERF.count("transient.known_table_builds")
+    return table
+
+
+class _ReducedStepper:
+    """Reusable backward-Euler kernel on the unknown-node block.
+
+    One instance serves every step of a run (the loop just updates
+    ``t_new``/``v_prev``), and its buffers serve every Newton
+    iteration.  The capacitive term is a full-width ``dv @
+    c_over_dt.T`` matmul gathered to the unknown block, and the
+    precompiled ``c_over_dt_uu`` block is added to the reduced
+    Jacobian.  This is the numpy backend's step kernel, the reference
+    the compiled kernels are checked against.
+    """
+
+    reduced = True
+
+    def __init__(self, system: MnaSystem, c_over_dt: np.ndarray,
+                 batch: int) -> None:
+        self.system = system
+        self._c_over_dt_T = c_over_dt.T
+        u = system.unknown_idx
+        self._u = u
+        self.c_over_dt_uu = c_over_dt[np.ix_(u, u)].copy()
+        n = system.n_nodes
+        self._vp_rows = np.empty((batch, n))
+        self._dv = np.empty((batch, n))
+        self._cap = np.empty((batch, n))
+        self._cap_u = np.empty((batch, u.size))
+        self.t_new = 0.0
+        self.v_prev: Optional[np.ndarray] = None
+
+    def __call__(self, v, rows):
+        b = v.shape[0]
+        f_u, jac_uu = self.system.reduced_residual_jacobian(
+            v, self.t_new, active=rows)
+        if b == self.v_prev.shape[0]:
+            vp = self.v_prev  # rows is sorted+unique: full size == all
+        else:
+            vp = self.v_prev.take(rows, axis=0, out=self._vp_rows[:b])
+        dv = np.subtract(v, vp, out=self._dv[:b])
+        cap = np.matmul(dv, self._c_over_dt_T, out=self._cap[:b])
+        f_u += cap.take(self._u, axis=1, out=self._cap_u[:b])
+        jac_uu += self.c_over_dt_uu
+        return f_u, jac_uu
+
+
 def _run_fused(fused, system: MnaSystem, times: np.ndarray, n_steps: int,
                v_prev: np.ndarray, batch: int, active: np.ndarray,
                decided: Optional[np.ndarray],
@@ -567,7 +423,7 @@ def _run_fused(fused, system: MnaSystem, times: np.ndarray, n_steps: int,
                guess_trajectory: Optional[Sequence[np.ndarray]],
                guess_gate: float, extrapolate: bool,
                record_states: bool) -> TransientResult:
-    """:func:`_run_reduced_be` through a kernel's fused runner."""
+    """:func:`run_transient`'s loop through a kernel's fused runner."""
     rule = None
     if decision is not None:
         late = np.nonzero(times[1:] >= decision.t_min)[0]

@@ -37,14 +37,14 @@ def aged_cells():
 
 
 def key_of(cache, cell, *, mc=None, iterations=6, measure_offset=True,
-           measure_delay=True, warmstart=None):
+           measure_delay=True, failure_rate=1e-3):
     design = build_design(cell.scheme)
     mc = mc or settings()
     return cache.key_for(design, cell, mc, default_aging_model(), TIMING,
-                         failure_rate=1e-3, measure_offset=measure_offset,
+                         failure_rate=failure_rate,
+                         measure_offset=measure_offset,
                          measure_delay=measure_delay,
-                         offset_iterations=iterations,
-                         warmstart=warmstart)
+                         offset_iterations=iterations)
 
 
 class TestKeys:
@@ -63,7 +63,7 @@ class TestKeys:
         dict(iterations=8),
         dict(measure_offset=False),
         dict(measure_delay=False),
-        dict(warmstart=False),
+        dict(failure_rate=1e-4),
     ])
     def test_settings_change_the_key(self, tmp_path, change):
         cache = ResultCache(tmp_path)

@@ -1,34 +1,25 @@
-"""Grid-level parity tests for the reduced hot-loop compilation.
+"""Repeat-run parity of the characterisation pipeline and the fused
+endpoint transients against the two sequential endpoint reads they
+replace.
 
-The ``REPRO_NO_REDUCED`` opt-out must reproduce the characterisation
-pipeline's tables **bit for bit** — offsets, specs and delays — and the
-reduced-only perf counters must appear exactly when the reduced path
-runs.  Also covers the fused endpoint transients against the two
-sequential endpoint reads they replace.
-
-Everything here pins ``backend="numpy"``: the opt-out flips between
-the reduced and the legacy full-space loop, and only the numpy backend
-shares the exact operation order of both (the compiled backend has its
-own bitwise-parity suite in ``tests/spice/test_backends.py``).
+Everything here pins ``backend="numpy"``, the reference backend (the
+compiled backend has its own bitwise-parity suite in
+``tests/spice/test_backends.py``; the golden Table-II results in
+``tests/test_golden.py`` pin both).
 """
 
 import numpy as np
-import pytest
 
 from repro.analysis.perf import PERF
-from repro.circuits.sense_amp import ReadTiming, build_issa, build_nssa
+from repro.circuits.sense_amp import ReadTiming, build_nssa
 from repro.core.calibration import default_mc_settings
 from repro.core.experiment import ExperimentCell, run_cell
 from repro.core.montecarlo import sample_total_shifts
-from repro.core.testbench import SenseAmpTestbench, WarmStartOptions
+from repro.core.testbench import SenseAmpTestbench
 from repro.models import Environment
-from repro.spice.mna import REDUCED_ENV
 from repro.workloads import paper_workload
 
 TIMING = ReadTiming(dt=1e-12)
-
-REDUCED_ONLY = ("mna.reduced_evals", "transient.known_table_builds",
-                "offset.endpoint_fused_runs")
 
 
 def aged_cell(kind="nssa"):
@@ -36,53 +27,28 @@ def aged_cell(kind="nssa"):
                           Environment.from_celsius(25.0, 1.0))
 
 
-def run(monkeypatch, disable, kind="nssa", size=8, iterations=6):
-    if disable:
-        monkeypatch.setenv(REDUCED_ENV, "1")
-    else:
-        monkeypatch.delenv(REDUCED_ENV, raising=False)
-    PERF.reset()
-    result = run_cell(aged_cell(kind),
-                      settings=default_mc_settings(size=size, seed=2017),
-                      timing=TIMING, offset_iterations=iterations,
-                      backend="numpy")
-    return result, PERF.snapshot()["counters"]
+def run(kind="nssa", size=8, iterations=6):
+    return run_cell(aged_cell(kind),
+                    settings=default_mc_settings(size=size, seed=2017),
+                    timing=TIMING, offset_iterations=iterations,
+                    backend="numpy")
 
 
 class TestGridParity:
-    @pytest.mark.parametrize("kind", ["nssa", "issa"])
-    def test_tables_bit_identical(self, monkeypatch, kind):
-        fast, _ = run(monkeypatch, disable=False, kind=kind)
-        slow, _ = run(monkeypatch, disable=True, kind=kind)
-        np.testing.assert_array_equal(fast.offset.offsets,
-                                      slow.offset.offsets)
-        assert fast.offset.spec == slow.offset.spec
-        assert fast.delay_s == slow.delay_s
-
-    def test_counters_present_only_on_reduced_pass(self, monkeypatch):
-        _, fast = run(monkeypatch, disable=False)
-        _, slow = run(monkeypatch, disable=True)
-        for name in REDUCED_ONLY:
-            assert fast.get(name, 0) > 0, f"{name} missing (reduced on)"
-            assert name not in slow, f"{name} leaked into the opt-out"
-
-    def test_repeat_run_bit_identical(self, monkeypatch):
-        first, _ = run(monkeypatch, disable=False)
-        second, _ = run(monkeypatch, disable=False)
+    def test_repeat_run_bit_identical(self):
+        first = run()
+        second = run()
         np.testing.assert_array_equal(first.offset.offsets,
                                       second.offset.offsets)
         assert first.delay_s == second.delay_s
 
 
 class TestFusedEndpoints:
-    def _bench(self, batch=6, warm=True):
+    def _bench(self, batch=6):
         design = build_nssa()
         env = Environment.from_celsius(25.0, 1.0)
-        warmstart = (WarmStartOptions()
-                     if warm else WarmStartOptions.disabled())
         bench = SenseAmpTestbench(design, env, batch_size=batch,
-                                  timing=TIMING, warmstart=warmstart,
-                                  backend="numpy")
+                                  timing=TIMING, backend="numpy")
         settings = default_mc_settings(size=batch, seed=7)
         shifts = sample_total_shifts(design, None, None, 0.0, env,
                                      settings)
@@ -103,9 +69,3 @@ class TestFusedEndpoints:
         bench.resolve_sign_pair(0.05, -0.05)
         counters = PERF.snapshot()["counters"]
         assert counters.get("offset.endpoint_fused_runs") == 1
-
-    def test_fused_property_follows_reduced_switch(self, monkeypatch):
-        monkeypatch.delenv(REDUCED_ENV, raising=False)
-        assert self._bench().fused_endpoints
-        monkeypatch.setenv(REDUCED_ENV, "1")
-        assert not self._bench().fused_endpoints

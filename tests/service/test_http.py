@@ -2,12 +2,14 @@
 
 import json
 import threading
+import urllib.error
 import urllib.request
 
 import pytest
 
 from repro.service import HttpClient, Service, ServiceError
 from repro.service.http_api import make_server
+from repro.service.jobs import request_from_dict
 
 
 def request_fields(**overrides):
@@ -205,6 +207,40 @@ class TestRemoteWorker:
         assert doc["state"] == "done"
         assert doc["result_row"]["spec_mV"] > 0
         assert client.result(job_id)["row"]["spec_mV"] > 0
+
+
+MALFORMED = [
+    dict(time_s=float("nan")),
+    dict(temp_c=float("inf")),
+    dict(vdd=float("-inf")),
+    dict(dt=float("nan")),
+    dict(dt=-1e-12),
+    dict(dt=0.0),
+    dict(mc=0),
+    dict(mc=-3),
+    dict(offset_iterations=0),
+    dict(chunk_size=0),
+    dict(timeout_s=float("nan")),
+]
+
+
+class TestMalformedCells:
+    """Cell requests the worker cannot run are refused at submit."""
+
+    @pytest.mark.parametrize("bad", MALFORMED,
+                             ids=lambda bad: "-".join(map(str, *bad.items())))
+    def test_rejected_by_validate_and_http(self, server, bad):
+        with pytest.raises(ValueError):
+            request_from_dict(request_fields(**bad)).validate()
+        client, _ = server
+        blob = json.dumps(request_fields(**bad)).encode()
+        req = urllib.request.Request(
+            client.base_url + "/submit", data=blob, method="POST",
+            headers={"Content-Type": "application/json"})
+        with pytest.raises(urllib.error.HTTPError) as caught:
+            urllib.request.urlopen(req, timeout=10)
+        assert caught.value.code == 400
+        assert client.metrics()["jobs"] == {}
 
 
 class TestRawBodies:

@@ -216,15 +216,6 @@ class TestKernelCache:
 class TestFallbackGuards:
     """Out-of-contract configurations use the exact reference kernel."""
 
-    def _kernel(self, **newton_kwargs):
-        backend = CompiledBackend()
-        system, _ = sense_amp_system(batch=3)
-        return backend.step_kernel(system, system.c_matrix / 1e-12,
-                                   1e-12, 3, NewtonOptions(**newton_kwargs))
-
-    def test_unmasked_falls_back(self):
-        assert isinstance(self._kernel(masked=False), NumpyStepKernel)
-
     def test_deviceless_falls_back(self):
         from repro.spice.netlist import Circuit
         from repro.spice.waveforms import Dc
@@ -305,8 +296,8 @@ class TestStepKernelParity:
                   for name in system.vth_shifts()}
         if shifts:
             system.set_vth_shifts(shifts)
-        if not system.reduced or system.unknown_idx.size == 0:
-            pytest.skip("topology not on the reduced path")
+        if system.unknown_idx.size == 0:
+            pytest.skip("topology has no unknown nodes")
         self._compare(system, rng, batch)
 
     def test_partial_active_rows(self):
@@ -510,8 +501,6 @@ def random_scenario(seed, backend):
               for name in system.vth_shifts()}
     if shifts:
         system.set_vth_shifts(shifts)
-    if not system.reduced:
-        pytest.skip("topology not on the reduced path")
     results = []
     try:
         first = run_transient(system, t_stop=3e-11, dt=1e-12,

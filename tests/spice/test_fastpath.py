@@ -14,11 +14,12 @@ from repro.core.calibration import default_aging_model
 from repro.core.montecarlo import McSettings, sample_total_shifts
 from repro.core.testbench import SenseAmpTestbench
 from repro.models import Environment, MismatchModel, NMOS_45HP, PMOS_45HP
+from repro.models.mosmodel import mos_current
 from repro.spice.mna import MnaSystem
 from repro.spice.netlist import Circuit
 from repro.spice.solver import (ConvergenceError, NewtonOptions,
                                 _solve_batched, newton_solve)
-from repro.spice.transient import DecisionSpec, run_transient
+from repro.spice.transient import DecisionSpec
 from repro.spice.waveforms import Dc
 from repro.workloads import paper_workload
 
@@ -36,50 +37,64 @@ def inverter_pair(batch: int = 5) -> MnaSystem:
     return c
 
 
-class TestStackedEvaluation:
-    """The one-shot device table must match the per-device loop."""
+def per_device_stamps(system: MnaSystem, v: np.ndarray):
+    """Residual and Jacobian stamped one device at a time.
 
-    def _systems(self, batch=5):
-        circuit = inverter_pair()
-        stacked = MnaSystem(circuit, 300.0, batch_size=batch, stacked=True)
-        legacy = MnaSystem(circuit, 300.0, batch_size=batch, stacked=False)
+    The textbook MNA assembly over :func:`mos_current`, the reference
+    the stacked device table is checked against.
+    """
+    f = v @ system.g_static.T
+    jac = np.broadcast_to(system.g_static, (v.shape[0],)
+                          + system.g_static.shape).copy()
+    shifts = system.vth_shifts()
+    for m in system.circuit.mosfets:
+        d, g, s, b = (system._index_of(node) for node in
+                      (m.drain, m.gate, m.source, m.bulk))
+        i_d, gm, gd, gs = mos_current(
+            v[:, g], v[:, d], v[:, s], v[:, b], shifts[m.name], m.params,
+            m.w_over_l, system.temperature_k)
+        f[:, d] += i_d
+        f[:, s] -= i_d
+        for col, gx in ((g, gm), (d, gd), (s, gs)):
+            jac[:, d, col] += gx
+            jac[:, s, col] -= gx
+    return f, jac
+
+
+class TestStackedEvaluation:
+    """The one-shot device table must match the per-device stamps."""
+
+    def _system(self, batch=5):
+        system = MnaSystem(inverter_pair(), 300.0, batch_size=batch)
         rng = np.random.default_rng(3)
-        shifts = {"mn1": rng.normal(0.0, 0.02, batch),
-                  "mp2": rng.normal(0.0, 0.02, batch)}
-        stacked.set_vth_shifts(shifts)
-        legacy.set_vth_shifts(shifts)
-        v = np.clip(rng.normal(0.5, 0.3, (batch, stacked.n_nodes)),
+        system.set_vth_shifts({"mn1": rng.normal(0.0, 0.02, batch),
+                               "mp2": rng.normal(0.0, 0.02, batch)})
+        v = np.clip(rng.normal(0.5, 0.3, (batch, system.n_nodes)),
                     -0.2, 1.2)
-        stacked.apply_known(v, 0.0)
-        return stacked, legacy, v
+        system.apply_known(v, 0.0)
+        return system, v
 
     def test_residual_jacobian_match(self):
-        stacked, legacy, v = self._systems()
-        f_s, jac_s = stacked.static_residual_jacobian(v, 0.0)
-        f_l, jac_l = legacy.static_residual_jacobian(v, 0.0)
+        system, v = self._system()
+        f_s, jac_s = system.static_residual_jacobian(v, 0.0)
+        f_l, jac_l = per_device_stamps(system, v)
         np.testing.assert_allclose(f_s, f_l, rtol=0.0, atol=1e-15)
         np.testing.assert_allclose(jac_s, jac_l, rtol=0.0, atol=1e-15)
 
     def test_active_slice_matches_full(self):
-        stacked, _, v = self._systems()
+        system, v = self._system()
         active = np.array([0, 2, 4])
-        f_full, jac_full = stacked.static_residual_jacobian(v, 0.0)
-        f_act, jac_act = stacked.static_residual_jacobian(v[active], 0.0,
-                                                          active=active)
+        f_full, jac_full = system.static_residual_jacobian(v, 0.0)
+        f_act, jac_act = system.static_residual_jacobian(v[active], 0.0,
+                                                         active=active)
         np.testing.assert_array_equal(f_act, f_full[active])
         np.testing.assert_array_equal(jac_act, jac_full[active])
-
-    def test_residual_only_matches(self):
-        stacked, _, v = self._systems()
-        f_full, _ = stacked.static_residual_jacobian(v, 0.0)
-        np.testing.assert_array_equal(stacked.static_residual(v, 0.0),
-                                      f_full)
 
 
 class TestMaskedNewton:
     """Converged samples may drop out without changing the solution."""
 
-    def _solve(self, masked: bool) -> np.ndarray:
+    def _system(self):
         # Per-sample Vth spread makes convergence depth heterogeneous:
         # masking actually has samples to retire early.
         batch = 8
@@ -88,21 +103,31 @@ class TestMaskedNewton:
             {"mn1": np.linspace(-0.08, 0.08, batch),
              "mp1": np.linspace(0.06, -0.06, batch)})
         v = system.initial_full_vector(0.0, {"mid": 0.5, "out": 0.5})
+        return system, v
+
+    def test_masked_matches_unmasked(self):
+        system, v = self._system()
+        u = system.unknown_idx
+        options = NewtonOptions()
 
         def res_jac(v_full):
             return system.static_residual_jacobian(v_full, 0.0)
 
-        options = NewtonOptions(masked=masked)
-        v, _ = newton_solve(res_jac, v, system.unknown_idx, options)
-        return v
-
-    def test_masked_matches_unmasked(self):
-        v_masked = self._solve(True)
-        v_unmasked = self._solve(False)
+        v_masked, iterations = newton_solve(res_jac, v.copy(), u, options)
+        # The unmasked reference: every sample iterates until the
+        # slowest one has converged.
+        v_unmasked = v.copy()
+        for _ in range(iterations):
+            f, jac = res_jac(v_unmasked)
+            delta = _solve_batched(jac[:, u[:, None], u[None, :]], -f[:, u],
+                                   options.regularisation)
+            v_unmasked[:, u] += np.clip(delta, -options.max_step,
+                                        options.max_step)
+        assert not np.array_equal(v_masked, v_unmasked)
         # Both are converged solutions of the same system; they can
         # differ only below the Newton tolerance.
         np.testing.assert_allclose(v_masked, v_unmasked, rtol=0.0,
-                                   atol=NewtonOptions().vtol)
+                                   atol=options.vtol)
 
     def test_active_subset_leaves_others_untouched(self):
         batch = 6
@@ -169,12 +194,11 @@ class TestPerMemberRegularisation:
                          NewtonOptions(max_iter=5))
 
 
-def aged_testbench(batch: int, env: Environment, early: bool,
-                   masked: bool = True) -> SenseAmpTestbench:
+def aged_testbench(batch: int, env: Environment,
+                   early: bool) -> SenseAmpTestbench:
     design = build_nssa()
     tb = SenseAmpTestbench(design, env, batch_size=batch,
                            timing=ReadTiming(dt=1e-12),
-                           newton=NewtonOptions(masked=masked),
                            early_decision=early)
     shifts = sample_total_shifts(
         design, default_aging_model(), paper_workload("80r0"), 1e8, env,
@@ -232,17 +256,3 @@ class TestEarlyDecision:
         with pytest.raises(ValueError):
             DecisionSpec("s", "sbar", threshold=0.0)
 
-
-class TestTrapezoidalHistoryRefresh:
-    """The trap branch refreshes f_prev without a Jacobian evaluation."""
-
-    def test_trap_still_integrates(self):
-        c = Circuit("rc")
-        c.add_vsource("vin", "in", Dc(0.0))
-        c.add_resistor("r", "in", "out", 1e3)
-        c.add_capacitor("c", "out", "0", 1e-12)
-        system = MnaSystem(c, 300.0)
-        result = run_transient(system, 3e-9, 50e-12, probes=["out"],
-                               initial={"out": 1.0}, method="trap")
-        expected = np.exp(-result.times / 1e-9)
-        assert np.max(np.abs(result.probe("out")[:, 0] - expected)) < 5e-3

@@ -16,11 +16,11 @@ from repro.models import NMOS_45HP, PMOS_45HP
 from repro.models.mosmodel import (stacked_eval_workspace,
                                    stacked_mos_current,
                                    stacked_mos_current_into)
-from repro.spice.mna import REDUCED_ENV, MnaSystem
+from repro.spice.mna import MnaSystem
 from repro.spice.netlist import Circuit
 from repro.spice.solver import (NewtonOptions, _solve_batched,
                                 _solve_batched_fast)
-from repro.spice.transient import _build_known_table, run_transient
+from repro.spice.transient import _build_known_table
 from repro.circuits.sense_amp import ReadTiming
 from repro.spice.waveforms import Dc, Pulse, Pwl, Step
 
@@ -65,30 +65,6 @@ def random_state(system: MnaSystem, rng: np.random.Generator,
     v = rng.uniform(-0.2, 1.2, (batch, system.n_nodes))
     system.apply_known(v, 0.0)
     return v
-
-
-class TestEnvToggle:
-    def test_default_enabled(self, monkeypatch):
-        monkeypatch.delenv(REDUCED_ENV, raising=False)
-        system = MnaSystem(inverter_chain(), 300.0, batch_size=2)
-        assert system.reduced
-
-    def test_opt_out(self, monkeypatch):
-        monkeypatch.setenv(REDUCED_ENV, "1")
-        system = MnaSystem(inverter_chain(), 300.0, batch_size=2)
-        assert not system.reduced
-
-    def test_requires_stacked(self, monkeypatch):
-        monkeypatch.delenv(REDUCED_ENV, raising=False)
-        system = MnaSystem(inverter_chain(), 300.0, batch_size=2,
-                           stacked=False)
-        assert not system.reduced
-
-    def test_ctor_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv(REDUCED_ENV, "1")
-        system = MnaSystem(inverter_chain(), 300.0, batch_size=2,
-                           reduced=True)
-        assert system.reduced
 
 
 class TestWaveformTables:
@@ -155,7 +131,7 @@ class TestReducedAssembly:
 
     def _parity(self, circuit: Circuit, seed: int, batch: int = 6):
         rng = np.random.default_rng(seed)
-        system = MnaSystem(circuit, 300.0, batch_size=batch, reduced=True)
+        system = MnaSystem(circuit, 300.0, batch_size=batch)
         shifts = {name: rng.normal(0.0, 0.03, batch)
                   for name in list(system.vth_shifts())[::2]}
         if shifts:
@@ -230,39 +206,6 @@ class TestStackedInto:
         np.testing.assert_array_equal(gm, stamps[:, :n_dev])
         np.testing.assert_array_equal(gd, stamps[:, n_dev:2 * n_dev])
         np.testing.assert_array_equal(gs, stamps[:, 2 * n_dev:])
-
-
-class TestReducedTransient:
-    """Full reduced transients == legacy transients, bit for bit.
-
-    Pinned to the numpy backend: the opt-out flips between the reduced
-    and legacy loops, and only the numpy backend shares both loops'
-    exact operation order (the compiled backend's parity suite lives
-    in ``tests/spice/test_backends.py``).
-    """
-
-    @pytest.mark.parametrize("build", [build_nssa, build_issa])
-    def test_run_transient_parity(self, build):
-        design = build()
-        batch = 7
-        rng = np.random.default_rng(5)
-        names = MnaSystem(design.circuit, 298.15).vth_shifts()
-        shifts = {name: rng.normal(0.0, 0.02, batch) for name in names}
-        results = {}
-        for reduced in (True, False):
-            system = MnaSystem(design.circuit, 298.15, batch_size=batch,
-                               reduced=reduced)
-            system.set_vth_shifts(shifts)
-            results[reduced] = run_transient(
-                system, t_stop=6e-11, dt=1e-12,
-                probes=list(design.output_nodes),
-                extrapolate=True, backend="numpy")
-        a, b = results[True], results[False]
-        np.testing.assert_array_equal(a.times, b.times)
-        np.testing.assert_array_equal(a.final, b.final)
-        for node in a.voltages:
-            np.testing.assert_array_equal(a.voltages[node],
-                                          b.voltages[node])
 
 
 class TestSolveBatched:
