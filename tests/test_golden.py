@@ -9,7 +9,11 @@ small but complete runs of the three products:
 - ``bank_64x4.json``: an ``ArrayEngine.compare`` document of a 64x4
   bank at 8 samples per column;
 - ``fleet_512.json``: a ``FleetEngine.compare`` document of 512
-  devices under both policies.
+  devices under both policies;
+- ``tail_is_cell0.json``: the importance-sampling tail of Table-II
+  cell 0 (NSSA) at 16 nominal samples: every tail offset and
+  log-weight, the effective sample size and the 1e-9 spec with its
+  bootstrap interval.
 
 Offsets, specs and every other figure must match bit for bit; delays
 (and the figures computed from them) may move by 1 fs, the spread the
@@ -34,6 +38,7 @@ from repro.array.engine import ArrayEngine
 from repro.array.spec import ArraySpec
 from repro.core.calibration import default_mc_settings
 from repro.core.experiment import CellResult, run_cell
+from repro.core.rare_event import EstimatorConfig
 from repro.core.paper import grid_cells
 from repro.fleet.engine import FleetEngine
 from repro.fleet.spec import FleetSpec, MitigationPolicy
@@ -42,6 +47,7 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 TABLE2 = GOLDEN / "table2_mc16.json"
 BANK = GOLDEN / "bank_64x4.json"
 FLEET = GOLDEN / "fleet_512.json"
+TAIL = GOLDEN / "tail_is_cell0.json"
 
 MC_SIZE = 16
 MC_SEED = 2017
@@ -50,6 +56,10 @@ DELAY_TOLERANCE_S = 1e-15
 #: Table-II cells also run on the numpy backend: the first NSSA and the
 #: first ISSA cell.
 NUMPY_CELLS = (0, 7)
+#: The importance-sampling tail entry: Table-II cell 0, no delays.
+TAIL_CELL = 0
+TAIL_ESTIMATOR = EstimatorConfig(kind="is", samples=48, bootstrap=30)
+TAIL_FAILURE_RATE = 1e-9
 
 
 def run_table2_cell(index: int, backend: Optional[str] = None
@@ -60,6 +70,10 @@ def run_table2_cell(index: int, backend: Optional[str] = None
                     backend=backend)
 
 
+def nullable(values) -> List[Optional[float]]:
+    return [None if math.isnan(v) else float(v) for v in values]
+
+
 def cell_record(index: int, result: CellResult) -> Dict[str, Any]:
     cell = result.cell
     return {
@@ -67,8 +81,7 @@ def cell_record(index: int, result: CellResult) -> Dict[str, Any]:
         "scheme": cell.scheme,
         "workload": cell.workload_label,
         "time_s": cell.time_s,
-        "offsets": [None if math.isnan(v) else float(v)
-                    for v in result.offset.offsets],
+        "offsets": nullable(result.offset.offsets),
         "spec": result.offset.spec,
         "mu": result.offset.mu,
         "sigma": result.offset.sigma,
@@ -90,6 +103,25 @@ def run_fleet() -> Dict[str, Any]:
     spec = FleetSpec(n_devices=512, block_size=256, seed=MC_SEED)
     return as_json(FleetEngine(spec, workers=1).compare(
         [MitigationPolicy("nssa"), MitigationPolicy("issa")]))
+
+
+def run_tail(backend: Optional[str] = None) -> Dict[str, Any]:
+    result = run_cell(grid_cells("2")[TAIL_CELL],
+                      settings=default_mc_settings(size=MC_SIZE,
+                                                   seed=MC_SEED),
+                      estimator=TAIL_ESTIMATOR, measure_delay=False,
+                      backend=backend)
+    tail = result.offset.tail
+    spec = tail.spec_at(TAIL_FAILURE_RATE)
+    return {"index": TAIL_CELL,
+            "estimator": {"kind": TAIL_ESTIMATOR.kind,
+                          "samples": TAIL_ESTIMATOR.samples,
+                          "bootstrap": TAIL_ESTIMATOR.bootstrap},
+            "failure_rate": TAIL_FAILURE_RATE,
+            "offsets": nullable(tail.offsets),
+            "log_weights": nullable(tail.log_weights),
+            "ess": tail.ess,
+            "spec": {"value": spec.value, "lo": spec.lo, "hi": spec.hi}}
 
 
 def same_float(got: float, want: Optional[float]) -> bool:
@@ -187,6 +219,14 @@ def test_fleet_document():
     assert_doc_matches(run_fleet(), load(FLEET))
 
 
+def test_is_tail_document():
+    assert_doc_matches(run_tail(), load(TAIL))
+
+
+def test_is_tail_document_numpy_backend():
+    assert_doc_matches(run_tail(backend="numpy"), load(TAIL))
+
+
 def test_delay_tolerance_is_tight():
     """The comparison itself: a 2 fs delay move or a one-ulp offset move
     fails."""
@@ -212,7 +252,7 @@ def write() -> None:
              for index in range(len(grid_cells("2")))]
     docs = {TABLE2: {"mc": {"size": MC_SIZE, "seed": MC_SEED},
                      "cells": cells},
-            BANK: run_bank(), FLEET: run_fleet()}
+            BANK: run_bank(), FLEET: run_fleet(), TAIL: run_tail()}
     for path, doc in docs.items():
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=1, allow_nan=False)
