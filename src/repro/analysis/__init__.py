@@ -6,8 +6,6 @@ from .tables import (format_table, comparison_row, render_comparison,
                      relative_error, COMPARISON_HEADERS)
 from .figures import (DistributionBar, DelaySeries, render_bars,
                       render_delay_series, crossover_time)
-from .histogram import (Histogram, histogram, render_histogram,
-                        NormalityCheck, check_normality)
 from .report import assemble_report, write_report, ReportStatus
 from .perf import PerfRecorder, PERF
 from . import reference
@@ -19,8 +17,6 @@ __all__ = [
     "relative_error", "COMPARISON_HEADERS",
     "DistributionBar", "DelaySeries", "render_bars",
     "render_delay_series", "crossover_time",
-    "Histogram", "histogram", "render_histogram",
-    "NormalityCheck", "check_normality",
     "assemble_report", "write_report", "ReportStatus",
     "PerfRecorder", "PERF",
     "reference",

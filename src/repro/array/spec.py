@@ -14,6 +14,7 @@ bitline pairs through the column mux.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..workloads import paper_workload
@@ -86,11 +87,14 @@ class ArraySpec:
                 "mux factor must be a multiple of words per row")
         if self.workload is not None:
             paper_workload(self.workload)  # validates the name
+        for name in ("temp_c", "vdd", "swing_mv", "noise_margin_mv"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         times = tuple(float(t) for t in self.times_s)
         if not times:
             raise ValueError("at least one time checkpoint is required")
-        if any(t < 0.0 for t in times):
-            raise ValueError("times must be non-negative")
+        if not all(math.isfinite(t) and t >= 0.0 for t in times):
+            raise ValueError("times must be finite and non-negative")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("times must be strictly increasing")
         object.__setattr__(self, "times_s", times)

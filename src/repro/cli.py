@@ -292,8 +292,7 @@ def cmd_tail(args) -> int:
                             if fit_ci is not None else None)},
     }
     if tail is None:
-        print("  (no tail estimate: estimator is 'fit' or "
-              "REPRO_NO_RAREEVENT is set)")
+        print("  (no tail estimate: estimator is 'fit')")
     else:
         spec = tail.spec_at(fr)
         print(f"  {args.estimator:15s} {spec.value * 1e3:8.2f} mV"
@@ -535,8 +534,7 @@ def cmd_fleet(args) -> int:
     report = engine.compare(policies)
     print(f"fleet: {spec.n_devices} devices, "
           f"{spec.phases_per_year} phases/year, "
-          f"swing {spec.swing_mv:g} mV  "
-          f"[engine: {report['policies'][0]['engine']}]")
+          f"swing {spec.swing_mv:g} mV")
     header = (f"  {'policy':24s} {'year':>6s} {'frac out':>10s} "
               f"{'chip ppm':>10s} {'std mV':>8s} {'p99 mV':>8s}")
     print(header)

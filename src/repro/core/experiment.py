@@ -25,8 +25,7 @@ from .calibration import default_aging_model, default_mc_settings
 from .montecarlo import (McSettings, sample_aging_keyed, sample_mismatch,
                          sample_total_shifts)
 from .offset import OffsetDistribution, extract_offsets, fit_offsets
-from .rare_event import (EstimatorConfig, TailEstimate, estimate_tail,
-                         rare_event_enabled)
+from .rare_event import EstimatorConfig, TailEstimate, estimate_tail
 from ..spice.backends import resolve_backend
 from ..spice.backends.base import SolverBackend
 from .testbench import SenseAmpTestbench
@@ -262,9 +261,8 @@ def run_cell(cell: ExperimentCell,
         run the variance-reduction engine on the same testbench and
         attach the :class:`~repro.core.rare_event.TailEstimate` to the
         offset distribution, which then answers spec queries from the
-        directly-sampled tail.  ``REPRO_NO_RAREEVENT=1`` forces the
-        fallback.  The resolved estimator is part of the cache key, so
-        fit and tail entries never collide.
+        directly-sampled tail.  The resolved estimator is part of the
+        cache key, so fit and tail entries never collide.
     backend:
         Solver backend for the transient hot loop — a registered name,
         a :class:`~repro.spice.backends.base.SolverBackend` instance,
@@ -279,7 +277,7 @@ def run_cell(cell: ExperimentCell,
     solver_backend = resolve_backend(backend)
     active = None
     if (estimator is not None and estimator.kind != "fit"
-            and measure_offset and rare_event_enabled()):
+            and measure_offset):
         active = estimator
 
     key = None

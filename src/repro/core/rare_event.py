@@ -47,15 +47,13 @@ intervals are honest about fit noise, not just binomial noise.
 Every random draw is spawn-keyed (:func:`~repro.models.variation.
 keyed_rng`) on lanes disjoint from the paper's nominal population, so
 enabling an estimator never perturbs the default tables and results are
-invariant to ``--workers`` chunking.  ``REPRO_NO_RAREEVENT=1`` disables
-the engine entirely (requests fall back to the normal-fit path).
+invariant to ``--workers`` chunking.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import os
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -64,9 +62,6 @@ from ..analysis.failure import offset_spec, sigma_level
 from ..analysis.perf import PERF
 from ..analysis.stats import fit_normal
 from ..models.variation import MismatchModel, keyed_rng
-
-#: Environment opt-out: set to ``1`` to force the normal-fit fallback.
-RAREEVENT_ENV = "REPRO_NO_RAREEVENT"
 
 #: Recognised ``estimator`` names (``fit`` = the paper's normal fit).
 ESTIMATOR_KINDS = ("fit", "scaled-sigma", "is")
@@ -81,11 +76,6 @@ _STREAM_BOOT = 0xB007       # bootstrap resampling indices
 #: An offset function maps per-device Vth shift arrays to one offset
 #: voltage per Monte-Carlo sample (NaN = outside the measurable range).
 OffsetFn = Callable[[Dict[str, np.ndarray]], np.ndarray]
-
-
-def rare_event_enabled() -> bool:
-    """Whether the variance-reduction engine is enabled (default yes)."""
-    return os.environ.get(RAREEVENT_ENV, "0") in ("", "0")
 
 
 @dataclasses.dataclass(frozen=True)

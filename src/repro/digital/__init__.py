@@ -5,12 +5,10 @@ from .signals import (LOW, HIGH, UNKNOWN, logic_not, logic_and, logic_or,
 from .gates import Gate, Dff, Tff
 from .simulator import LogicCircuit, LogicSimulator
 from .counter import RippleCounter, build_ripple_counter
-from .sync_counter import SyncCounter, build_sync_counter
 
 __all__ = [
     "LOW", "HIGH", "UNKNOWN", "logic_not", "logic_and", "logic_or",
     "logic_nand", "logic_nor", "logic_xor", "is_valid", "Event",
     "Gate", "Dff", "Tff", "LogicCircuit", "LogicSimulator",
     "RippleCounter", "build_ripple_counter",
-    "SyncCounter", "build_sync_counter",
 ]

@@ -9,10 +9,6 @@ Public surface:
 * :class:`~repro.fleet.engine.FleetEngine` — chunked, worker-parallel,
   bitwise chunking-invariant evaluation with lifetime-distribution
   summaries (`evaluate`) and policy comparison (`compare`).
-
-Set ``REPRO_NO_FLEETVEC=1`` to run the per-device reference loop
-instead of the vectorised trap physics (bit-identical, ~orders of
-magnitude slower; see ``docs/simulator.md``).
 """
 
 from .engine import FleetEngine

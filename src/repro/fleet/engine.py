@@ -8,8 +8,8 @@ returns one partial: its blocks' integer statistics summed, their float
 sums kept per block for the merge to fold **in block order** with plain
 Python float accumulation.  Because every random draw is spawn-keyed
 per block and the merge order is fixed, the summary is bitwise
-identical for any ``chunk_size`` / ``workers`` combination — and for
-the ``REPRO_NO_FLEETVEC`` reference loop (pinned by ``tests/fleet``).
+identical for any ``chunk_size`` / ``workers`` combination (pinned by
+``tests/fleet``).
 Memory held by the partials grows with the number of chunks.
 
 Summaries are JSON-primitive dictionaries so they can be journaled,
@@ -26,8 +26,7 @@ import numpy as np
 from ..analysis.perf import PERF
 from ..core.parallel import run_tasks
 from ..memory.yield_model import YieldModel, yield_loss_ppm
-from .sampling import (HIST_BINS, block_stats, evaluate_block,
-                       reference_loop_requested)
+from .sampling import HIST_BINS, block_stats, evaluate_block
 from .spec import FleetSpec, MitigationPolicy
 
 #: Histogram quantiles reported per checkpoint year.
@@ -76,8 +75,6 @@ def _evaluate_chunk(spec: FleetSpec, policy: MitigationPolicy,
                      for acc, year in zip(years, partial["years"])]
             PERF.count("fleet.blocks")
             PERF.count("fleet.devices", offsets.shape[1])
-            if reference_loop_requested():
-                PERF.count("fleet.reference_blocks")
     return {"years": years}
 
 
@@ -190,9 +187,10 @@ class FleetEngine:
                           _merge_year(partials, index), year,
                           self.yield_model)
             for index, year in enumerate(self.spec.years)]
+        # ``engine`` names the trap walk; the vectorised one is the
+        # only walk, but stored and digested summaries carry the tag.
         return {"policy": policy.to_dict(),
-                "engine": ("reference"
-                           if reference_loop_requested() else "vector"),
+                "engine": "vector",
                 "years": years}
 
     def compare(self, policies: Sequence[MitigationPolicy],

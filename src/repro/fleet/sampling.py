@@ -8,20 +8,16 @@ random about a block comes from spawn-keyed RNG lanes
 receives depend only on the spec (and, for the trap lane, the policy) —
 never on chunk boundaries, worker count or evaluation order.
 
-Two evaluators share those draws:
-
-* :func:`evaluate_block` — the production path: every closed form
-  (activated-trap counts, CET occupancy propagation, per-trap impacts,
-  offset assembly) vectorised across the whole block's trap population.
-* the per-device *reference loop* (``REPRO_NO_FLEETVEC=1``) — the same
-  physics applied one device at a time on slices of the same draws.
-
-Both are built from the same numpy elementwise operations, applied to
-the same values in the same order per trap, so their results are
-**bitwise identical**; the benchmark and tests pin this.  The float
-reductions that could differ (per-device trap sums) are done with
-``np.bincount`` in the vector path, which accumulates sequentially in
-element order exactly like the reference path's per-slice sums.
+:func:`evaluate_block` evaluates those draws with every closed form
+(activated-trap counts, CET occupancy propagation, per-trap impacts,
+offset assembly) vectorised across the whole block's trap population.
+It applies the elementwise kernels of the public
+:func:`repro.aging.occupancy.ac_occupancy` to the same values in the
+same order per trap, and sums each device's traps with ``np.bincount``,
+which accumulates sequentially in element order; so its offsets are
+**bitwise identical** to chaining ``ac_occupancy`` one device at a
+time (``tests/fleet`` pins this on one block's draws, and
+``tests/golden`` pins a whole fleet document).
 
 Per-device physics
 ------------------
@@ -42,7 +38,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import zlib
 from typing import Dict, List, Tuple
 
@@ -72,11 +67,6 @@ _BTI = PBTI_PARAMS
 #: Offset histogram: 0.1 mV bins up to 200 mV (+1 overflow bin).
 HIST_BINS = 2001
 _HIST_SCALE = 1e4  # |V| -> 0.1 mV bin index
-
-
-def reference_loop_requested() -> bool:
-    """True when ``REPRO_NO_FLEETVEC`` disables the vectorised path."""
-    return os.environ.get("REPRO_NO_FLEETVEC", "").strip() not in ("", "0")
 
 
 def policy_lane_key(policy: MitigationPolicy) -> int:
@@ -124,9 +114,7 @@ class BlockDraws:
     """Everything random or device-dependent about one sampling block.
 
     Computed once per (spec, policy, block) by :func:`block_draws` and
-    consumed unchanged by both the vectorised and the reference
-    evaluator — the two paths differ only in how they *traverse* these
-    arrays, never in what they draw.
+    consumed unchanged by :func:`evaluate_block`.
     """
 
     start: int
@@ -245,17 +233,17 @@ def block_draws(spec: FleetSpec, policy: MitigationPolicy,
 
 # -- occupancy propagation ----------------------------------------------
 #
-# Both evaluators implement the identical elementwise recursion — the
-# duty-cycled master-equation step of ``aging.occupancy.ac_occupancy``:
+# The vector walk replays the duty-cycled master-equation step of
+# ``aging.occupancy.ac_occupancy`` in-place over the whole block's trap
+# arrays:
 #
 #     k_c = duty / tau_c;  k_e = 1 / tau_e
 #     P'  = P_inf + (P - P_inf) * exp(-(k_c + k_e) * t)
 #
-# The reference loop calls the public ``ac_occupancy`` on one device's
-# trap slice at a time; the vector path replays the same kernels
-# in-place over the whole block's trap arrays.  Numpy elementwise
-# kernels are value-deterministic regardless of array length or
-# broadcasting, so the two traversals agree bitwise (pinned by tests).
+# Numpy elementwise kernels are value-deterministic regardless of array
+# length or broadcasting, so this agrees bitwise with calling
+# ``ac_occupancy`` on one device's trap slice at a time (pinned by
+# tests).
 
 #: ``np.exp(-x)`` is exactly ``0.0`` for ``x >= 746`` (beyond the
 #: subnormal range).  A trap whose emission rate alone satisfies
@@ -316,63 +304,19 @@ def _lane_shifts_vector(lane: _TrapLane, duty: np.ndarray,
     return shifts
 
 
-def _lane_shifts_reference(lane: _TrapLane, duty: np.ndarray,
-                           phase_s: float, checkpoints: Tuple[int, ...],
-                           size: int) -> List[np.ndarray]:
-    """The naive per-device loop over the same draws (parity reference).
-
-    Streams every device's trap slice through the *public*
-    :func:`repro.aging.occupancy.ac_occupancy` closed form one phase at
-    a time — the way the per-device aging engine consumes stress
-    schedules — with no cross-device batching.
-    """
-    from ..aging.occupancy import ac_occupancy
-
-    shifts = [np.zeros(size) for _ in checkpoints]
-    for device in range(size):
-        lo, hi = int(lane.starts[device]), int(lane.starts[device + 1])
-        if lo == hi:
-            continue
-        tau_c = lane.tau_c_eff[lo:hi]
-        tau_e = lane.tau_e[lo:hi]
-        u_occ = lane.u_occ[lo:hi]
-        eta = lane.eta[lo:hi]
-        zero = np.zeros(hi - lo, dtype=np.intp)
-        prob = np.zeros(hi - lo)
-        mark = 0
-        for phase in range(duty.shape[0]):
-            prob = ac_occupancy(phase_s, duty[phase, device],
-                                tau_c, tau_e, p_initial=prob)
-            if phase + 1 == checkpoints[mark]:
-                contrib = np.where(u_occ < prob, eta, 0.0)
-                # bincount accumulates sequentially in element order —
-                # the same order the vector path's grouped bincount
-                # uses for this device's contiguous trap run.
-                shifts[mark][device] = np.bincount(
-                    zero, weights=contrib, minlength=1)[0]
-                mark += 1
-                if mark == len(checkpoints):
-                    break
-    return shifts
-
-
 def evaluate_block(spec: FleetSpec, policy: MitigationPolicy,
                    block: int) -> Tuple[np.ndarray, np.ndarray]:
     """Evaluate one block: per-checkpoint offsets for every device.
 
     Returns ``(offsets, w_idx)`` with ``offsets`` of shape
-    ``(len(spec.years), block devices)`` [V].  Honours
-    ``REPRO_NO_FLEETVEC`` by switching the trap physics to the
-    per-device reference loop; the result is bitwise identical.
+    ``(len(spec.years), block devices)`` [V].
     """
     draws = block_draws(spec, policy, block)
     checkpoints = spec.checkpoint_phases()
-    walker = (_lane_shifts_reference if reference_loop_requested()
-              else _lane_shifts_vector)
-    down = walker(draws.down, draws.duty_down, spec.phase_s,
-                  checkpoints, draws.size)
-    downbar = walker(draws.downbar, draws.duty_downbar, spec.phase_s,
-                     checkpoints, draws.size)
+    down = _lane_shifts_vector(draws.down, draws.duty_down, spec.phase_s,
+                               checkpoints, draws.size)
+    downbar = _lane_shifts_vector(draws.downbar, draws.duty_downbar,
+                                  spec.phase_s, checkpoints, draws.size)
     offsets = np.stack([draws.offset0 + draws.sens * (d - dbar)
                         for d, dbar in zip(down, downbar)])
     return offsets, draws.w_idx

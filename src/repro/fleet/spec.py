@@ -28,6 +28,7 @@ result-invariant).
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Any, Dict, Mapping, Sequence, Tuple
 
 from ..workloads import paper_workload
@@ -57,12 +58,23 @@ def _weighted_pairs(pairs: Sequence[Sequence[Any]],
         if len(pair) != 2:
             raise ValueError(f"{what} entries must be (value, weight)")
         value, weight = pair
-        if float(weight) < 0.0:
-            raise ValueError(f"{what} weights must be non-negative")
-        out.append((value, float(weight)))
+        weight = float(weight)
+        if not math.isfinite(weight) or weight < 0.0:
+            raise ValueError(
+                f"{what} weights must be finite and non-negative")
+        out.append((value, weight))
     if not out or sum(w for _, w in out) <= 0.0:
         raise ValueError(f"{what} profile needs positive total weight")
     return tuple(out)
+
+
+def _corner_pairs(pairs: Sequence[Sequence[Any]],
+                  what: str) -> Tuple[Tuple[float, float], ...]:
+    """A weighted profile of finite corner values (temperature, vdd)."""
+    out = tuple((float(v), w) for v, w in _weighted_pairs(pairs, what))
+    if not all(math.isfinite(v) for v, _ in out):
+        raise ValueError(f"{what} values must be finite")
+    return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -105,8 +117,10 @@ class MitigationPolicy:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not 0.0 <= self.residual_imbalance <= 1.0:
             raise ValueError("residual imbalance must be within [0, 1]")
-        if self.rejuvenation_interval_years < 0.0:
-            raise ValueError("rejuvenation interval must be >= 0")
+        if not (math.isfinite(self.rejuvenation_interval_years)
+                and self.rejuvenation_interval_years >= 0.0):
+            raise ValueError("rejuvenation interval must be finite and "
+                             ">= 0")
         if self.rejuvenation_phases < 1:
             raise ValueError("rejuvenation must span >= 1 phase")
         if not 0.0 <= self.guardband_trim < 1.0:
@@ -191,16 +205,18 @@ class FleetSpec:
             raise ValueError("need at least one phase per year")
         if self.reads_per_phase < 1:
             raise ValueError("need at least one read per phase")
-        if self.swing_mv <= 0.0:
-            raise ValueError("provisioned swing must be positive")
+        if not (math.isfinite(self.swing_mv) and self.swing_mv > 0.0):
+            raise ValueError("provisioned swing must be finite and "
+                             "positive")
         if not self.years:
             raise ValueError("need at least one checkpoint year")
         years = tuple(float(y) for y in self.years)
         if sorted(years) != list(years) or len(set(years)) != len(years):
             raise ValueError("checkpoint years must be strictly increasing")
         for year in years:
-            if year <= 0.0:
-                raise ValueError("checkpoint years must be positive")
+            if not (math.isfinite(year) and year > 0.0):
+                raise ValueError("checkpoint years must be finite and "
+                                 "positive")
             phases = year * self.phases_per_year
             if abs(phases - round(phases)) > 1e-9:
                 raise ValueError(
@@ -212,14 +228,9 @@ class FleetSpec:
             _weighted_pairs(self.workloads, "workload"))
         for name, _ in self.workloads:
             paper_workload(name)  # validates the name
-        object.__setattr__(
-            self, "temps_c",
-            tuple((float(t), w) for t, w
-                  in _weighted_pairs(self.temps_c, "temperature")))
-        object.__setattr__(
-            self, "vdds",
-            tuple((float(v), w) for v, w
-                  in _weighted_pairs(self.vdds, "vdd")))
+        object.__setattr__(self, "temps_c",
+                           _corner_pairs(self.temps_c, "temperature"))
+        object.__setattr__(self, "vdds", _corner_pairs(self.vdds, "vdd"))
 
     # -- derived geometry ------------------------------------------------
 

@@ -35,6 +35,14 @@ TERMINAL = (DONE, FAILED, CANCELLED)
 STATES = (PENDING, RUNNING, DONE, FAILED, CANCELLED)
 
 
+def _require_finite(request: Any, *names: str) -> None:
+    """Raise ``ValueError`` if a set float field is NaN or infinite."""
+    for name in names:
+        value = getattr(request, name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclasses.dataclass(frozen=True)
 class JobRequest:
     """One cell characterisation, in wire-format primitives.
@@ -65,10 +73,7 @@ class JobRequest:
 
     def validate(self) -> None:
         """Raise ``ValueError`` for any field the worker cannot honour."""
-        for name in ("time_s", "temp_c", "vdd", "dt", "timeout_s"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        _require_finite(self, "time_s", "temp_c", "vdd", "dt", "timeout_s")
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
         if self.mc < 1:
@@ -186,6 +191,7 @@ class FleetRequest:
         validates and constructs in one step.
         """
         from ..fleet.spec import FleetSpec, MitigationPolicy
+        _require_finite(self, "timeout_s")
         if not self.policies:
             raise ValueError("fleet request needs at least one policy")
         if self.chunk_size is not None and self.chunk_size < 1:
@@ -269,6 +275,7 @@ class ArrayRequest:
         and constructs in one step.
         """
         from ..array.spec import ArraySpec, validate_schemes
+        _require_finite(self, "timeout_s")
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ValueError("chunk size must be positive")
         return (ArraySpec.from_dict(self.spec),

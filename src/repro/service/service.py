@@ -271,8 +271,6 @@ class Service:
             "fleet": {
                 "devices": counters.get("fleet.devices", 0),
                 "blocks": counters.get("fleet.blocks", 0),
-                "reference_blocks":
-                    counters.get("fleet.reference_blocks", 0),
                 "chunks": counters.get("fleet.chunks", 0),
                 "policies": counters.get("fleet.policies", 0),
                 "devices_per_sec":

@@ -19,18 +19,7 @@ from .solver import NewtonOptions, ConvergenceError, newton_solve
 from .dcop import dc_operating_point
 from .transient import run_transient, TransientResult, DecisionSpec
 from .measure import crossing_time, delay_between, final_sign, settles_to
-from .ac import ac_sweep, AcResult, logspace_frequencies
-from .export import export_spice
-from .parser import parse_spice, SpiceParseError
-from .adaptive import run_adaptive_transient, AdaptiveOptions, \
-    waveform_breakpoints
 from .subckt import SubCircuit, instantiate
-from .sweep import dc_sweep, SweepResult, butterfly_curves, \
-    static_noise_margin
-from .noise import noise_analysis, NoiseResult
-from .opinfo import (DeviceOp, device_operating_point,
-                     operating_point_report, render_op_report,
-                     total_supply_current)
 
 __all__ = [
     "Circuit", "Resistor", "Capacitor", "VSource", "ISource", "Mosfet",
@@ -40,12 +29,5 @@ __all__ = [
     "dc_operating_point",
     "run_transient", "TransientResult", "DecisionSpec",
     "crossing_time", "delay_between", "final_sign", "settles_to",
-    "ac_sweep", "AcResult", "logspace_frequencies",
-    "export_spice", "parse_spice", "SpiceParseError",
-    "run_adaptive_transient", "AdaptiveOptions", "waveform_breakpoints",
     "SubCircuit", "instantiate",
-    "dc_sweep", "SweepResult", "butterfly_curves", "static_noise_margin",
-    "noise_analysis", "NoiseResult",
-    "DeviceOp", "device_operating_point", "operating_point_report",
-    "render_op_report", "total_supply_current",
 ]

@@ -116,8 +116,7 @@ class TestInterruption:
     """
 
     def grid(self):
-        # Enough cells that the grid cannot finish instantly: ~0.8 s on
-        # two workers, against the 0.2 s timeout below.
+        # Enough cells that a pool has work queued when a test stops it.
         return [ExperimentCell("nssa", paper_workload("80r0"), 1e8,
                                Environment.from_celsius(25.0, 1.0))
                 for _ in range(32)]
@@ -149,11 +148,23 @@ class TestInterruption:
         assert ran == [0]
 
     def test_parallel_timeout_reaps_workers(self):
+        timeout = 0.2
+        returned = []
+
+        def progress(index, total, cell):
+            returned.append(index)
+            if len(returned) == 1:
+                # The deadline was set before the first cell came back,
+                # so this sleep passes it: the next check must raise.
+                time.sleep(timeout)
+
         start = time.monotonic()
         with pytest.raises(GridTimeout):
             run_cells(self.grid(), settings=settings(16), timing=TIMING,
-                      offset_iterations=8, workers=2, timeout=0.2)
+                      offset_iterations=8, workers=2, timeout=timeout,
+                      progress=progress)
         # Tore down long before the 32-cell grid could finish...
+        assert len(returned) < len(self.grid())
         assert time.monotonic() - start < 30.0
         # ...and left no orphaned pool processes behind.
         assert _no_executor_children()

@@ -5,8 +5,8 @@ offset ``offset = a . dVth`` whose exact tail is known analytically —
 so correctness (estimates, confidence-interval coverage, NaN handling)
 is checked against ground truth, not against another Monte Carlo.  A
 few small runs on the real testbench then cover the end-to-end wiring:
-``run_cell(estimator=...)``, bit parity of the nominal population, the
-environment opt-out, cache round-trips and worker-count invariance.
+``run_cell(estimator=...)``, bit parity of the nominal population,
+cache round-trips and worker-count invariance.
 Finally both estimators are checked against a brute-force population
 of the real testbench at a rate brute force resolves, and the IS
 spec's sample cost is compared with direct Monte Carlo at 1e-9.
@@ -24,8 +24,7 @@ from repro.core.montecarlo import McSettings
 from repro.core.parallel import run_cells
 from repro.core.rare_event import (ESTIMATOR_KINDS, Estimate,
                                    EstimatorConfig, MixtureProposal,
-                                   RAREEVENT_ENV, TailEstimate,
-                                   estimate_tail, rare_event_enabled)
+                                   TailEstimate, estimate_tail)
 from repro.models.variation import MismatchModel
 
 RATIOS = {"m1": 4.0, "m2": 4.0, "m3": 8.0}
@@ -86,14 +85,6 @@ class TestEstimatorConfig:
     def test_validation(self, bad):
         with pytest.raises(ValueError):
             EstimatorConfig(**bad)
-
-    def test_opt_out_env(self, monkeypatch):
-        monkeypatch.delenv(RAREEVENT_ENV, raising=False)
-        assert rare_event_enabled()
-        monkeypatch.setenv(RAREEVENT_ENV, "1")
-        assert not rare_event_enabled()
-        monkeypatch.setenv(RAREEVENT_ENV, "0")
-        assert rare_event_enabled()
 
 
 class TestMixtureProposal:
@@ -320,12 +311,6 @@ class TestRunCellIntegration:
         np.testing.assert_array_equal(plain.offset.offsets,
                                       tailed.offset.offsets)
         assert plain.offset.fit == tailed.offset.fit
-
-    def test_opt_out_falls_back_to_fit(self, monkeypatch):
-        monkeypatch.setenv(RAREEVENT_ENV, "1")
-        result = run_cell(self.cell, estimator=SMALL_EST, **SMALL)
-        assert result.offset.tail is None
-        assert result.offset.spec == result.offset.fit_spec
 
     def test_cache_roundtrip_preserves_tail(self, tmp_path):
         from repro.core.cache import ResultCache

@@ -1,15 +1,18 @@
 """Fleet engine tests: spec validation, invariance contracts, physics."""
 
 import json
-import os
 
+import numpy as np
 import pytest
 
+from repro.aging.occupancy import ac_occupancy
 from repro.fleet import FleetEngine, FleetSpec, MitigationPolicy
+from repro.fleet.sampling import (FAST_TRAP_EXPONENT, _lane_shifts_vector,
+                                  block_draws)
 
 
-#: Small fleet the bitwise-invariance tests share (the reference loop
-#: runs it too, so keep it cheap: one year, short phases, 25 C).
+#: Small fleet the bitwise-invariance tests share (one year, short
+#: phases, 25 C).
 SMALL = FleetSpec(n_devices=384, block_size=64, years=(1.0,),
                   phases_per_year=2, reads_per_phase=64,
                   temps_c=((25.0, 1.0),))
@@ -18,12 +21,32 @@ NSSA = MitigationPolicy(scheme="nssa")
 ISSA = MitigationPolicy(scheme="issa")
 
 
-def normalised(report):
-    """Comparison report minus the ``engine`` tag (path-dependent)."""
-    doc = json.loads(json.dumps(report))
-    for summary in doc["policies"]:
-        summary.pop("engine", None)
-    return doc
+def lane_shifts_per_device(lane, duty, phase_s, checkpoints, size):
+    """Per-checkpoint dVth, chaining the public ``ac_occupancy`` one
+    device's trap slice and one phase at a time."""
+    shifts = [np.zeros(size) for _ in checkpoints]
+    for device in range(size):
+        lo, hi = int(lane.starts[device]), int(lane.starts[device + 1])
+        if lo == hi:
+            continue
+        zero = np.zeros(hi - lo, dtype=np.intp)
+        prob = np.zeros(hi - lo)
+        mark = 0
+        for phase in range(duty.shape[0]):
+            prob = ac_occupancy(phase_s, duty[phase, device],
+                                lane.tau_c_eff[lo:hi], lane.tau_e[lo:hi],
+                                p_initial=prob)
+            if phase + 1 == checkpoints[mark]:
+                contrib = np.where(lane.u_occ[lo:hi] < prob,
+                                   lane.eta[lo:hi], 0.0)
+                # bincount sums in element order, as the vector walk's
+                # grouped bincount does over this device's trap run.
+                shifts[mark][device] = np.bincount(
+                    zero, weights=contrib, minlength=1)[0]
+                mark += 1
+                if mark == len(checkpoints):
+                    break
+    return shifts
 
 
 class TestMitigationPolicy:
@@ -84,8 +107,8 @@ class TestFleetSpec:
 
 
 class TestInvariance:
-    """The tentpole contract: summaries are bitwise identical across
-    every execution knob and the per-device reference loop."""
+    """Summaries are bitwise identical across every execution knob, and
+    the vector trap walk equals the per-device ``ac_occupancy`` chain."""
 
     def test_chunk_size_invariance(self):
         small = FleetEngine(SMALL, workers=1, chunk_size=64)
@@ -98,17 +121,28 @@ class TestInvariance:
         assert serial.compare([NSSA, ISSA]) \
             == pooled.compare([NSSA, ISSA])
 
-    def test_reference_loop_parity(self, monkeypatch):
-        engine = FleetEngine(SMALL, workers=1, chunk_size=128)
-        vector = engine.compare([NSSA, ISSA])
-        monkeypatch.setenv("REPRO_NO_FLEETVEC", "1")
-        reference = engine.compare([NSSA, ISSA])
-        assert vector["policies"][0]["engine"] == "vector"
-        assert reference["policies"][0]["engine"] == "reference"
-        assert normalised(vector) == normalised(reference)
+    @pytest.mark.parametrize("policy", [NSSA, ISSA], ids=["nssa", "issa"])
+    def test_vector_walk_matches_per_device_chain(self, policy):
+        spec = FleetSpec(n_devices=64, block_size=64, years=(0.5, 1.0),
+                         phases_per_year=4, reads_per_phase=64)
+        draws = block_draws(spec, policy, 0)
+        checkpoints = spec.checkpoint_phases()
+        for lane, duty in ((draws.down, draws.duty_down),
+                           (draws.downbar, draws.duty_downbar)):
+            # Both branches of the walk run: traps that keep memory
+            # across phases and traps that settle within one.
+            fast = spec.phase_s / lane.tau_e >= FAST_TRAP_EXPONENT
+            assert fast.any() and not fast.all()
+            vector = _lane_shifts_vector(lane, duty, spec.phase_s,
+                                         checkpoints, draws.size)
+            chained = lane_shifts_per_device(lane, duty, spec.phase_s,
+                                             checkpoints, draws.size)
+            assert len(vector) == len(chained) == len(checkpoints)
+            assert all(np.count_nonzero(v) > 1 for v in vector)
+            for got, want in zip(vector, chained):
+                assert got.tobytes() == want.tobytes()
 
-    def test_opt_out_zero_is_off(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_FLEETVEC", "0")
+    def test_summaries_name_the_vector_walk(self):
         summary = FleetEngine(SMALL, workers=1).evaluate(NSSA)
         assert summary["engine"] == "vector"
 

@@ -232,15 +232,99 @@ class TestMalformedCells:
     def test_rejected_by_validate_and_http(self, server, bad):
         with pytest.raises(ValueError):
             request_from_dict(request_fields(**bad)).validate()
-        client, _ = server
-        blob = json.dumps(request_fields(**bad)).encode()
-        req = urllib.request.Request(
-            client.base_url + "/submit", data=blob, method="POST",
-            headers={"Content-Type": "application/json"})
-        with pytest.raises(urllib.error.HTTPError) as caught:
-            urllib.request.urlopen(req, timeout=10)
-        assert caught.value.code == 400
-        assert client.metrics()["jobs"] == {}
+        assert_submit_refused(server[0], request_fields(**bad))
+
+
+def assert_submit_refused(client, doc):
+    """A raw ``POST /submit`` of ``doc`` gets 400 and queues no job."""
+    req = urllib.request.Request(
+        client.base_url + "/submit", data=json.dumps(doc).encode(),
+        method="POST", headers={"Content-Type": "application/json"})
+    with pytest.raises(urllib.error.HTTPError) as caught:
+        urllib.request.urlopen(req, timeout=10)
+    assert caught.value.code == 400
+    assert client.metrics()["jobs"] == {}
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def fleet_fields(part=None, name=None, value=None):
+    """A small fleet request with one field of ``part`` overridden."""
+    doc = {"kind": "fleet",
+           "spec": {"n_devices": 64, "block_size": 64, "years": [1.0],
+                    "phases_per_year": 2, "reads_per_phase": 64},
+           "policies": [{"scheme": "nssa"}]}
+    if part == "spec":
+        doc["spec"][name] = value
+    elif part == "policy":
+        doc["policies"][0][name] = value
+    elif part == "request":
+        doc[name] = value
+    return doc
+
+
+def array_fields(part=None, name=None, value=None):
+    """A small array request with one field of ``part`` overridden."""
+    doc = {"kind": "array",
+           "spec": {"rows": 64, "columns": 2, "mc": 4,
+                    "offset_iterations": 4}}
+    if part == "spec":
+        doc["spec"][name] = value
+    elif part == "request":
+        doc[name] = value
+    return doc
+
+
+MALFORMED_FLEETS = [
+    ("spec", "swing_mv", NAN),
+    ("spec", "swing_mv", INF),
+    ("spec", "temps_c", [[NAN, 1.0]]),
+    ("spec", "temps_c", [[25.0, NAN]]),
+    ("spec", "vdds", [[NAN, 1.0]]),
+    ("spec", "years", [INF]),
+    ("policy", "rejuvenation_interval_years", NAN),
+    ("policy", "rejuvenation_interval_years", INF),
+    ("request", "timeout_s", NAN),
+]
+
+MALFORMED_ARRAYS = [
+    ("spec", "temp_c", NAN),
+    ("spec", "vdd", NAN),
+    ("spec", "vdd", INF),
+    ("spec", "swing_mv", NAN),
+    ("spec", "noise_margin_mv", NAN),
+    ("spec", "times_s", [0.0, NAN]),
+    ("request", "timeout_s", INF),
+]
+
+
+def case_id(case):
+    return "-".join(map(str, case))
+
+
+class TestMalformedFleetAndArrayJobs:
+    """Non-finite fleet and array inputs are refused at submit."""
+
+    @pytest.mark.parametrize("case", MALFORMED_FLEETS, ids=case_id)
+    def test_fleet_rejected_by_validate(self, case):
+        request_from_dict(fleet_fields()).validate()
+        with pytest.raises(ValueError):
+            request_from_dict(fleet_fields(*case)).validate()
+
+    @pytest.mark.parametrize("case", MALFORMED_ARRAYS, ids=case_id)
+    def test_array_rejected_by_validate(self, case):
+        request_from_dict(array_fields()).validate()
+        with pytest.raises(ValueError):
+            request_from_dict(array_fields(*case)).validate()
+
+    def test_fleet_submit_is_400(self, server):
+        assert_submit_refused(server[0], fleet_fields("spec", "years",
+                                                      [INF]))
+
+    def test_array_submit_is_400(self, server):
+        assert_submit_refused(server[0], array_fields("spec", "times_s",
+                                                      [0.0, NAN]))
 
 
 class TestRawBodies:
