@@ -12,8 +12,7 @@ import pytest
 
 from repro.array import ArrayEngine, ArraySpec
 from repro.core.cache import ResultCache
-from repro.service import (ArrayRequest, HttpClient, Job, JobRequest,
-                           Service, request_from_dict)
+from repro.service import ArrayRequest, HttpClient, JobRequest, Service
 from repro.service.http_api import make_server
 
 SPEC = {"rows": 16, "columns": 2, "words_per_row": 1, "mux_factor": 1,
@@ -28,18 +27,6 @@ def array_request(**overrides):
 
 
 class TestArrayRequest:
-    def test_wire_round_trip(self):
-        request = array_request(chunk_size=2)
-        doc = json.loads(json.dumps(request.to_dict()))
-        assert doc["kind"] == "array"
-        assert request_from_dict(doc) == request
-
-    def test_unknown_field_rejected(self):
-        with pytest.raises(ValueError):
-            ArrayRequest.from_dict({"kind": "array", "spec": SPEC,
-                                    "schemes": list(SCHEMES),
-                                    "bogus": 1})
-
     def test_validate_parses_engine_inputs(self):
         spec, schemes = array_request().validate()
         assert isinstance(spec, ArraySpec)
@@ -67,13 +54,6 @@ class TestArrayRequest:
     def test_never_batches_with_other_kinds(self):
         assert array_request().signature() \
             != JobRequest(scheme="nssa").signature()
-
-    def test_job_journal_round_trip(self):
-        job = Job(id="abc", request=array_request(), seq=3,
-                  state="pending")
-        replayed = Job.from_dict(json.loads(json.dumps(job.to_dict())))
-        assert replayed == job
-        assert isinstance(replayed.request, ArrayRequest)
 
 
 class TestArrayThroughService:

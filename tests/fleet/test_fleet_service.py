@@ -7,8 +7,7 @@ import pytest
 
 from repro.core.cache import ResultCache
 from repro.fleet import FleetEngine, FleetSpec, MitigationPolicy
-from repro.service import (FleetRequest, HttpClient, Job, JobRequest,
-                           Service, request_from_dict)
+from repro.service import FleetRequest, HttpClient, JobRequest, Service
 from repro.service.http_api import make_server
 
 SPEC = {"n_devices": 256, "block_size": 64, "seed": 7,
@@ -24,28 +23,6 @@ def fleet_request(**overrides):
 
 
 class TestFleetRequest:
-    def test_wire_round_trip(self):
-        request = fleet_request(chunk_size=128)
-        doc = json.loads(json.dumps(request.to_dict()))
-        assert doc["kind"] == "fleet"
-        assert request_from_dict(doc) == request
-
-    def test_kindless_documents_are_cell_requests(self):
-        request = request_from_dict({"scheme": "issa",
-                                     "workload": "80r0",
-                                     "time_s": 1e8, "mc": 8})
-        assert isinstance(request, JobRequest)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            request_from_dict({"kind": "teleport"})
-
-    def test_unknown_field_rejected(self):
-        with pytest.raises(ValueError):
-            FleetRequest.from_dict({"kind": "fleet", "spec": SPEC,
-                                    "policies": list(POLICIES),
-                                    "bogus": 1})
-
     def test_validate_parses_engine_inputs(self):
         spec, policies = fleet_request().validate()
         assert isinstance(spec, FleetSpec)
@@ -71,13 +48,6 @@ class TestFleetRequest:
     def test_never_batches_with_cell_requests(self):
         assert fleet_request().signature() \
             != JobRequest(scheme="nssa").signature()
-
-    def test_job_journal_round_trip(self):
-        job = Job(id="abc", request=fleet_request(), seq=3,
-                  state="pending")
-        replayed = Job.from_dict(json.loads(json.dumps(job.to_dict())))
-        assert replayed == job
-        assert isinstance(replayed.request, FleetRequest)
 
 
 class TestFleetThroughService:
