@@ -26,8 +26,7 @@
 * ``array`` — bank-level array characterisation over a geometry grid
   (rows x columns x words-per-row x mux): per-column read paths with
   geometry-derived bitline loading, ISSA-vs-NSSA lifetime and
-  read-latency tables, optionally routed through the sharded job
-  service (``--service``) — see :mod:`repro.array`;
+  read-latency tables — see :mod:`repro.array`;
 * ``workloads`` — list the paper's workloads.
 
 ``characterize``, ``table`` and ``perf`` accept ``--cache`` to load
@@ -581,41 +580,11 @@ def _array_spec(args, rows: int, columns: int):
         swing_mv=args.swing_mv, noise_margin_mv=args.noise_margin_mv)
 
 
-def _array_reports_direct(specs, schemes, args) -> List[dict]:
-    from .array import ArrayEngine
-    return [ArrayEngine(spec, workers=args.workers or None,
-                        chunk_size=args.chunk_size,
-                        backend=getattr(args, "backend", None))
-            .compare(schemes) for spec in specs]
-
-
-def _array_reports_service(specs, schemes, args) -> List[dict]:
-    """Route every geometry point through a sharded job service."""
-    import tempfile
-
-    from .service import ArrayRequest, Service
-    reports = []
-    with tempfile.TemporaryDirectory() as directory:
-        service = Service(directory=directory, n_shards=args.shards,
-                          workers=1)
-        try:
-            jobs = [service.submit(ArrayRequest(
-                        spec=spec.to_dict(), schemes=tuple(schemes),
-                        workers=args.workers or None,
-                        chunk_size=args.chunk_size))
-                    for spec in specs]
-            for job in jobs:
-                service.wait(job.id)
-                reports.append(service.result(job.id))
-        finally:
-            service.close()
-    return reports
-
-
 def cmd_array(args) -> int:
     """Bank-level ISSA-vs-NSSA lifetime and read-latency tables."""
     import json as json_module
 
+    from .array import ArrayEngine
     from .array.spec import validate_schemes
 
     schemes = validate_schemes(
@@ -623,9 +592,10 @@ def cmd_array(args) -> int:
     specs = [_array_spec(args, rows, columns)
              for rows in _int_list(args.rows, "rows")
              for columns in _int_list(args.columns, "columns")]
-    runner = (_array_reports_service if args.service
-              else _array_reports_direct)
-    reports = runner(specs, schemes, args)
+    reports = [ArrayEngine(spec, workers=args.workers or None,
+                           chunk_size=args.chunk_size,
+                           backend=args.backend).compare(schemes)
+               for spec in specs]
 
     for spec, report in zip(specs, reports):
         geometry = report["geometry"]
@@ -634,8 +604,7 @@ def cmd_array(args) -> int:
               f"(words/row {geometry['words_per_row']}, "
               f"mux {geometry['mux_factor']})  bitline "
               f"{bitline['capacitance_ff']:.1f} fF / "
-              f"{bitline['resistance_ohm']:.0f} ohm"
-              f"{'  [via job service]' if args.service else ''}")
+              f"{bitline['resistance_ohm']:.0f} ohm")
         header = f"  {'time [s]':>10s}"
         for scheme in schemes:
             header += (f" {scheme + ' spec mV':>14s}"
@@ -951,13 +920,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "invariant to it")
     from .spice.backends import available_backends as _backends
     p.add_argument("--backend", choices=_backends(), default=None)
-    p.add_argument("--service", action="store_true",
-                   help="route every geometry point through an "
-                        "in-process sharded job service (ArrayRequest "
-                        "jobs) instead of calling the engine directly; "
-                        "results are bit-identical")
-    p.add_argument("--shards", type=int, default=2,
-                   help="job-store shards for --service (default 2)")
     p.add_argument("--json", default=None, metavar="PATH",
                    help="also write the full report(s) as JSON")
     p.set_defaults(func=cmd_array)

@@ -31,6 +31,7 @@ import dataclasses
 import math
 from typing import Any, Dict, Mapping, Sequence, Tuple
 
+from ..constants import ZERO_CELSIUS
 from ..workloads import paper_workload
 
 #: Seconds per (Julian) year — the trace-phase time base.
@@ -68,12 +69,14 @@ def _weighted_pairs(pairs: Sequence[Sequence[Any]],
     return tuple(out)
 
 
-def _corner_pairs(pairs: Sequence[Sequence[Any]],
-                  what: str) -> Tuple[Tuple[float, float], ...]:
-    """A weighted profile of finite corner values (temperature, vdd)."""
+def _corner_pairs(pairs: Sequence[Sequence[Any]], what: str,
+                  floor: float) -> Tuple[Tuple[float, float], ...]:
+    """A weighted profile of finite corner values above ``floor``."""
     out = tuple((float(v), w) for v, w in _weighted_pairs(pairs, what))
     if not all(math.isfinite(v) for v, _ in out):
         raise ValueError(f"{what} values must be finite")
+    if not all(v > floor for v, _ in out):
+        raise ValueError(f"{what} values must be above {floor:g}")
     return out
 
 
@@ -229,8 +232,10 @@ class FleetSpec:
         for name, _ in self.workloads:
             paper_workload(name)  # validates the name
         object.__setattr__(self, "temps_c",
-                           _corner_pairs(self.temps_c, "temperature"))
-        object.__setattr__(self, "vdds", _corner_pairs(self.vdds, "vdd"))
+                           _corner_pairs(self.temps_c, "temperature",
+                                         -ZERO_CELSIUS))
+        object.__setattr__(self, "vdds",
+                           _corner_pairs(self.vdds, "vdd", 0.0))
 
     # -- derived geometry ------------------------------------------------
 

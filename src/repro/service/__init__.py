@@ -3,8 +3,10 @@
 The serving layer over the Monte-Carlo characterisation stack: submit
 cells as jobs, get batching + dedup + persistence + retries for free.
 
-* :mod:`~repro.service.jobs` — the job/request model (content-addressed
-  identity, priorities, lifecycle states);
+* :mod:`~repro.service.jobs` — the job/request model: the
+  :data:`KINDS` registry of request classes (cell, fleet, array; each
+  its own wire schema, identity, executor, result loader and metrics
+  block), priorities, lifecycle states;
 * :mod:`~repro.service.store` — crash-safe JSONL journal + snapshot
   under ``$REPRO_SERVICE_DIR``, optionally partitioned by the job
   id's hash (:class:`ShardedJobStore`);
@@ -21,9 +23,9 @@ cells as jobs, get batching + dedup + persistence + retries for free.
 """
 
 from .client import Client, HttpClient
-from .jobs import (ArrayRequest, CANCELLED, DONE, FAILED,
-                   FleetRequest, Job, JobRequest, PENDING, RUNNING,
-                   STATES, TERMINAL, request_from_dict)
+from .jobs import (ArrayRequest, CANCELLED, DONE, EngineRequest, FAILED,
+                   FleetRequest, Job, JobRequest, KINDS, PENDING,
+                   RUNNING, STATES, TERMINAL, request_from_dict)
 from .pool import WorkerPool
 from .scheduler import (AckError, DoubleAckError, Scheduler,
                         StaleLeaseError, UnknownJobError, backoff_delay)
@@ -34,9 +36,9 @@ from .worker import RemoteWorker, Worker, run_batch
 
 __all__ = [
     "AckError", "ArrayRequest", "CANCELLED", "Client", "DONE",
-    "DoubleAckError",
+    "DoubleAckError", "EngineRequest",
     "FAILED", "FleetRequest", "HttpClient", "Job", "JobRequest",
-    "JobStore", "PENDING", "RUNNING", "RemoteWorker", "SERVICE_ENV",
+    "JobStore", "KINDS", "PENDING", "RUNNING", "RemoteWorker", "SERVICE_ENV",
     "STATES", "Scheduler", "Service", "ServiceError",
     "ShardedJobStore", "StaleLeaseError", "TERMINAL",
     "UnknownJobError", "Worker", "WorkerPool", "backoff_delay",

@@ -18,7 +18,7 @@ import urllib.parse
 import urllib.request
 from typing import Any, Dict, Optional, Union
 
-from .jobs import ArrayRequest, FleetRequest, JobRequest, TERMINAL
+from .jobs import JobRequest, Request, TERMINAL
 from .service import Service, ServiceError
 
 
@@ -28,11 +28,11 @@ class Client:
     def __init__(self, service: Service) -> None:
         self.service = service
 
-    def submit(self, request: Union[JobRequest, Dict[str, Any], None]
+    def submit(self, request: Union[Request, Dict[str, Any], None]
                = None, priority: int = 0, **fields) -> str:
         """Queue work; returns the job id (the content-address key).
 
-        Accepts a :class:`JobRequest`, a dict, or bare keyword fields
+        Accepts a request of any kind, a dict, or bare cell fields
         (``client.submit(scheme="issa", workload="80r0", ...)``).
         """
         if request is None:
@@ -91,14 +91,13 @@ class HttpClient:
 
     # -- the five verbs --------------------------------------------------
 
-    def submit(self, request: Union[JobRequest, Dict[str, Any], None]
+    def submit(self, request: Union[Request, Dict[str, Any], None]
                = None, priority: int = 0, **fields) -> str:
         if request is None:
             request = JobRequest(**fields)
         elif fields:
             raise TypeError("pass either a request or keyword fields")
-        if isinstance(request, (JobRequest, FleetRequest,
-                                ArrayRequest)):
+        if not isinstance(request, dict):
             request = request.to_dict()
         doc = self._call("POST", "/submit",
                          body={"request": request, "priority": priority})

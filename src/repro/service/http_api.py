@@ -9,14 +9,11 @@ endpoint   method    semantics
 /healthz   GET       liveness probe — ``{"ok": true}``
 /submit    POST      body ``{"request": {...}, "priority": 0}`` →
                      ``{"id", "state", "deduped"}`` (dedup is free:
-                     resubmitting returns the existing job).  A
-                     request with ``"kind": "fleet"`` queues a fleet
-                     lifetime-distribution / policy comparison
-                     (:class:`~repro.service.jobs.FleetRequest`) and
-                     ``"kind": "array"`` a bank-level array scheme
-                     comparison (:class:`~repro.service.jobs.
-                     ArrayRequest`); either ``/result`` row is the
-                     comparison document.
+                     resubmitting returns the existing job).  The
+                     request's ``"kind"`` is ``"cell"`` (the default),
+                     ``"fleet"`` or ``"array"``
+                     (:data:`~repro.service.jobs.KINDS`); a fleet or
+                     array ``/result`` row is the comparison document.
 /status    GET       ``?id=`` → full job record; 404 when unknown
 /result    GET       ``?id=`` → ``{"id", "row"}`` when done; 404 when
                      unknown, 409 with the state/error otherwise

@@ -1,11 +1,24 @@
 """Job model of the characterisation service.
 
-A *job* is one requested cell characterisation: the serialisable
-:class:`JobRequest` (what to simulate), plus lifecycle bookkeeping
-(state, attempts, timestamps, result row).  Jobs are identified by the
-content-addressed :mod:`~repro.core.cache` key of their request, so two
-submissions of the same work *are* the same job — dedup is identity,
-not a lookup table bolted on the side.
+A *job* is one unit of requested work: a serialisable request (what to
+compute), plus lifecycle bookkeeping (state, attempts, timestamps,
+result row).  Jobs are identified by the content-addressed
+:mod:`~repro.core.cache` key of their request, so two submissions of
+the same work *are* the same job — dedup is identity, not a lookup
+table bolted on the side.
+
+Each request class is the whole definition of its job kind, and
+:data:`KINDS` maps wire names to the classes.  A kind carries five
+parts, and the service calls them without asking which kind it holds:
+
+* wire schema — ``to_dict`` / ``from_dict`` (``kind`` names the class;
+  a document without one is a cell);
+* identity — ``cache_key`` over the physics only, and ``signature``
+  (requests with equal signatures may share one batch);
+* executor — the classmethod ``execute(batch, cache, pool_workers,
+  timeout, cancel)``, returning one result row per job;
+* result loader — ``load_result(cache, job)``;
+* ``/metrics`` block — ``metrics_block(perf)``, ``None`` for none.
 
 States move ``pending -> running -> done | failed | cancelled``; a
 retried job goes back to ``pending`` with a backoff gate
@@ -70,6 +83,8 @@ class JobRequest:
     chunk_size: Optional[int] = None
     timeout_s: Optional[float] = None
     backend: Optional[str] = None
+
+    KIND = "cell"
 
     def validate(self) -> None:
         """Raise ``ValueError`` for any field the worker cannot honour."""
@@ -146,34 +161,70 @@ class JobRequest:
                             failure_rate=FAILURE_RATE_TARGET)
         return cached.row() if cached is not None else None
 
+    @classmethod
+    def execute(cls, batch, cache, pool_workers, timeout, cancel):
+        """Run a coalesced batch through one ``run_cells`` call.
+
+        Results persist through ``cache`` under the job ids.
+        """
+        from ..core.parallel import run_cells
+        kwargs = batch[0].request.run_kwargs()
+        results = run_cells([job.request.to_cell() for job in batch],
+                            cache=cache, workers=pool_workers,
+                            timeout=timeout, cancel=cancel, **kwargs)
+        return [result.row() for result in results]
+
+    @staticmethod
+    def load_result(cache, job):
+        """The cached :class:`~repro.core.experiment.CellResult`.
+
+        Falls back to a row-only result when the entry was evicted (or
+        the work ran on a remote worker without a shared cache).
+        """
+        from ..constants import FAILURE_RATE_TARGET
+        from ..core.experiment import CellResult
+        cell = job.request.to_cell()
+        cached = cache.load(job.id, cell,
+                            failure_rate=FAILURE_RATE_TARGET)
+        if cached is not None:
+            return cached
+        row = job.result_row or {}
+        return CellResult(cell=cell, offset=None,
+                          delay_s=row.get("delay_ps", float("nan"))
+                          * 1e-12)
+
+    @staticmethod
+    def metrics_block(perf) -> None:
+        """Cell work reports through the perf counters alone."""
+        return None
+
     def to_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, doc: Dict[str, Any]) -> "JobRequest":
-        fields = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(doc) - fields
-        if unknown:
-            raise ValueError(
-                f"unknown request field(s): {', '.join(sorted(unknown))}")
-        return cls(**doc)
+        return _from_fields(cls, doc)
 
 
 @dataclasses.dataclass(frozen=True)
-class FleetRequest:
-    """One fleet lifetime-distribution / policy-comparison evaluation.
+class EngineRequest:
+    """One whole-spec engine comparison (the fleet and array kinds).
 
-    The wire shape of a :meth:`repro.fleet.engine.FleetEngine.compare`
-    call: a :class:`~repro.fleet.spec.FleetSpec` document plus one or
-    more :class:`~repro.fleet.spec.MitigationPolicy` documents (the
-    first is the comparison baseline).  ``chunk_size`` / ``workers``
-    only shape *how* the fleet is walked — results are bitwise
-    invariant to them — so they are excluded from the dedup identity,
-    exactly like :attr:`JobRequest.chunk_size`.
+    The wire shape of an engine's ``compare`` call: a spec document
+    plus the tuple named by ``ITEMS`` (the first entry is the
+    comparison baseline).  ``chunk_size`` / ``workers`` only shape
+    *how* the engine walks the work — results are bitwise invariant
+    to them — so they stay out of the dedup identity, exactly like
+    :attr:`JobRequest.chunk_size`.  Identical requests are the *same
+    job* by dedup and the signature never matches another request, so
+    an engine batch is always a singleton.
+
+    A subclass names its ``KIND``, its ``ITEMS`` field and that
+    field's element type ``ITEM``, and implements ``_parse`` (spec
+    and items into engine inputs) and ``_engine`` (the engine class).
     """
 
     spec: Dict[str, Any] = dataclasses.field(default_factory=dict)
-    policies: Tuple[Dict[str, Any], ...] = ()
     chunk_size: Optional[int] = None
     workers: Optional[int] = 1
     timeout_s: Optional[float] = None
@@ -181,42 +232,39 @@ class FleetRequest:
     def __post_init__(self) -> None:
         # JSON round-trips deliver lists; normalise so signatures and
         # equality behave.
-        object.__setattr__(self, "policies",
-                           tuple(dict(p) for p in self.policies))
+        object.__setattr__(self, self.ITEMS, tuple(
+            self.ITEM(item) for item in getattr(self, self.ITEMS)))
 
     def validate(self):
         """Parse into engine inputs; raises ``ValueError`` when bad.
 
-        Returns ``(FleetSpec, [MitigationPolicy, ...])`` so the worker
-        validates and constructs in one step.
+        Returns ``(spec, items)`` so the executor validates and
+        constructs in one step.
         """
-        from ..fleet.spec import FleetSpec, MitigationPolicy
         _require_finite(self, "timeout_s")
-        if not self.policies:
-            raise ValueError("fleet request needs at least one policy")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError("chunk size must be positive")
-        spec = FleetSpec.from_dict(self.spec)
-        policies = [MitigationPolicy.from_dict(doc)
-                    for doc in self.policies]
-        return spec, policies
+        for name in ("chunk_size", "workers"):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool)
+                                      or not isinstance(value, int)
+                                      or value < 1):
+                raise ValueError(
+                    f"{name} must be a positive integer, got {value!r}")
+        return self._parse()
+
+    def _physics(self) -> Dict[str, Any]:
+        return {"spec": self.spec,
+                self.ITEMS: list(getattr(self, self.ITEMS))}
 
     def signature(self) -> Tuple:
-        """Fleet runs never coalesce with cell batches (or each other:
-        identical fleet requests are already the *same job* by dedup,
-        so a fleet batch is always a singleton)."""
-        return ("fleet", self._identity_blob(), self.chunk_size,
-                self.workers, self.timeout_s)
-
-    def _identity_blob(self) -> str:
-        return json.dumps({"spec": self.spec,
-                           "policies": list(self.policies)},
-                          sort_keys=True, separators=(",", ":"))
+        """Unique to this request, so it never joins another's batch."""
+        return (self.KIND,
+                json.dumps(self._physics(), sort_keys=True,
+                           separators=(",", ":")),
+                self.chunk_size, self.workers, self.timeout_s)
 
     def cache_key(self, cache) -> str:
         """Content-addressed identity over the physics, not the knobs."""
-        return cache.key_for_doc({"kind": "fleet", "spec": self.spec,
-                                  "policies": list(self.policies)})
+        return cache.key_for_doc(dict(self._physics(), kind=self.KIND))
 
     def cached_result_row(self, cache, key: str) -> Optional[Dict]:
         """The comparison document if the doc cache already holds it."""
@@ -224,128 +272,158 @@ class FleetRequest:
             return None
         return cache.load_doc(key)
 
+    @classmethod
+    def execute(cls, batch, cache, pool_workers, timeout, cancel):
+        """Run each job's engine; the document persists under the id.
+
+        ``workers`` is capped at this host's usable CPUs, so a remote
+        submission cannot fan a worker host out past them.
+        """
+        from ..core.parallel import default_workers
+        cap = default_workers()
+        rows = []
+        for job in batch:
+            request = job.request
+            spec, items = request.validate()
+            engine = cls._engine()(
+                spec, workers=min(request.workers or cap, cap),
+                chunk_size=request.chunk_size)
+            summary = engine.compare(items, timeout=timeout,
+                                     cancel=cancel)
+            if cache is not None:
+                cache.store_doc(job.id, summary)
+            rows.append(summary)
+        return rows
+
+    @staticmethod
+    def load_result(cache, job) -> Dict[str, Any]:
+        """The stored comparison document, else the job's row."""
+        document = cache.load_doc(job.id)
+        return document if document is not None \
+            else (job.result_row or {})
+
     def to_dict(self) -> Dict[str, Any]:
         doc = dataclasses.asdict(self)
-        doc["policies"] = [dict(p) for p in self.policies]
-        doc["kind"] = "fleet"
-        return doc
+        return {"spec": doc["spec"],
+                self.ITEMS: list(doc[self.ITEMS]),
+                "chunk_size": self.chunk_size, "workers": self.workers,
+                "timeout_s": self.timeout_s, "kind": self.KIND}
 
     @classmethod
-    def from_dict(cls, doc: Dict[str, Any]) -> "FleetRequest":
-        doc = dict(doc)
-        kind = doc.pop("kind", "fleet")
-        if kind != "fleet":
-            raise ValueError(f"not a fleet request: kind={kind!r}")
-        fields = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(doc) - fields
-        if unknown:
-            raise ValueError(
-                f"unknown request field(s): {', '.join(sorted(unknown))}")
-        return cls(**doc)
+    def from_dict(cls, doc: Dict[str, Any]) -> "EngineRequest":
+        return _from_fields(cls, doc)
 
 
 @dataclasses.dataclass(frozen=True)
-class ArrayRequest:
-    """One bank-level array characterisation / scheme comparison.
+class FleetRequest(EngineRequest):
+    """A fleet lifetime-distribution / policy comparison.
 
-    The wire shape of a :meth:`repro.array.engine.ArrayEngine.compare`
-    call: an :class:`~repro.array.spec.ArraySpec` document plus the
-    scheme tuple (the first is the comparison baseline).  As with
-    :class:`FleetRequest`, ``chunk_size`` / ``workers`` only shape how
-    the columns are walked — the tables are bitwise invariant to them —
-    so they stay out of the dedup identity.
+    :meth:`repro.fleet.engine.FleetEngine.compare` over a
+    :class:`~repro.fleet.spec.FleetSpec` document and one or more
+    :class:`~repro.fleet.spec.MitigationPolicy` documents.
     """
 
-    spec: Dict[str, Any] = dataclasses.field(default_factory=dict)
+    KIND, ITEMS, ITEM = "fleet", "policies", dict
+    policies: Tuple[Dict[str, Any], ...] = ()
+
+    def _parse(self):
+        from ..fleet.spec import FleetSpec, MitigationPolicy
+        if not self.policies:
+            raise ValueError("fleet request needs at least one policy")
+        return (FleetSpec.from_dict(self.spec),
+                [MitigationPolicy.from_dict(doc)
+                 for doc in self.policies])
+
+    @staticmethod
+    def _engine():
+        from ..fleet import FleetEngine
+        return FleetEngine
+
+    @staticmethod
+    def metrics_block(perf) -> Dict[str, Any]:
+        counters = perf["counters"]
+        return {
+            "devices": counters.get("fleet.devices", 0),
+            "blocks": counters.get("fleet.blocks", 0),
+            "chunks": counters.get("fleet.chunks", 0),
+            "policies": counters.get("fleet.policies", 0),
+            "devices_per_sec":
+                perf["gauges"].get("fleet.devices_per_sec", 0.0),
+        }
+
+
+@dataclasses.dataclass(frozen=True)
+class ArrayRequest(EngineRequest):
+    """A bank-level array characterisation / scheme comparison.
+
+    :meth:`repro.array.engine.ArrayEngine.compare` over an
+    :class:`~repro.array.spec.ArraySpec` document and a scheme tuple.
+    """
+
+    KIND, ITEMS, ITEM = "array", "schemes", str
     schemes: Tuple[str, ...] = ("nssa", "issa")
-    chunk_size: Optional[int] = None
-    workers: Optional[int] = 1
-    timeout_s: Optional[float] = None
 
-    def __post_init__(self) -> None:
-        # JSON round-trips deliver lists; normalise so signatures and
-        # equality behave.
-        object.__setattr__(self, "schemes",
-                           tuple(str(s) for s in self.schemes))
-
-    def validate(self):
-        """Parse into engine inputs; raises ``ValueError`` when bad.
-
-        Returns ``(ArraySpec, (scheme, ...))`` so the worker validates
-        and constructs in one step.
-        """
+    def _parse(self):
         from ..array.spec import ArraySpec, validate_schemes
-        _require_finite(self, "timeout_s")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError("chunk size must be positive")
         return (ArraySpec.from_dict(self.spec),
                 validate_schemes(self.schemes))
 
-    def signature(self) -> Tuple:
-        """Array runs never coalesce with cell batches (or each other:
-        identical array requests are already the *same job* by dedup,
-        so an array batch is always a singleton)."""
-        return ("array", self._identity_blob(), self.chunk_size,
-                self.workers, self.timeout_s)
+    @staticmethod
+    def _engine():
+        from ..array import ArrayEngine
+        return ArrayEngine
 
-    def _identity_blob(self) -> str:
-        return json.dumps({"spec": self.spec,
-                           "schemes": list(self.schemes)},
-                          sort_keys=True, separators=(",", ":"))
-
-    def cache_key(self, cache) -> str:
-        """Content-addressed identity over the physics, not the knobs."""
-        return cache.key_for_doc({"kind": "array", "spec": self.spec,
-                                  "schemes": list(self.schemes)})
-
-    def cached_result_row(self, cache, key: str) -> Optional[Dict]:
-        """The comparison document if the doc cache already holds it."""
-        if not cache.contains_doc(key):
-            return None
-        return cache.load_doc(key)
-
-    def to_dict(self) -> Dict[str, Any]:
-        doc = dataclasses.asdict(self)
-        doc["schemes"] = list(self.schemes)
-        doc["kind"] = "array"
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: Dict[str, Any]) -> "ArrayRequest":
-        doc = dict(doc)
-        kind = doc.pop("kind", "array")
-        if kind != "array":
-            raise ValueError(f"not an array request: kind={kind!r}")
-        fields = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(doc) - fields
-        if unknown:
-            raise ValueError(
-                f"unknown request field(s): {', '.join(sorted(unknown))}")
-        return cls(**doc)
+    @staticmethod
+    def metrics_block(perf) -> Dict[str, Any]:
+        counters, gauges = perf["counters"], perf["gauges"]
+        return {
+            "columns": counters.get("array.columns", 0),
+            "banks": counters.get("array.banks", 0),
+            "tasks": counters.get("array.tasks", 0),
+            "compares": counters.get("array.compares", 0),
+            "columns_per_sec": gauges.get("array.columns_per_sec", 0.0),
+            "geometry": {
+                name: gauges.get(f"array.{name}", 0)
+                for name in ("rows", "columns", "words_per_row",
+                             "mux_factor", "bitline_pairs", "cells")
+            },
+        }
 
 
-#: Requests the service accepts, by wire ``kind``.
-REQUEST_KINDS = ("cell", "fleet", "array")
+def _from_fields(cls, doc: Dict[str, Any]):
+    """Build ``cls`` from a wire document, refusing foreign fields."""
+    doc = dict(doc)
+    kind = doc.pop("kind", cls.KIND)
+    if kind != cls.KIND:
+        raise ValueError(f"{cls.__name__} cannot hold kind={kind!r}")
+    unknown = set(doc) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ValueError(
+            f"unknown request field(s): {', '.join(sorted(unknown))}")
+    return cls(**doc)
 
 
-def request_from_dict(doc: Dict[str, Any]):
+#: Every job kind, by wire ``kind``; a document without one is a cell.
+KINDS = {"cell": JobRequest, "fleet": FleetRequest,
+         "array": ArrayRequest}
+
+#: Any request the service accepts.
+Request = Union[JobRequest, FleetRequest, ArrayRequest]
+
+
+def request_from_dict(doc: Dict[str, Any]) -> Request:
     """Build the right request class from a wire/journal document.
 
     Documents without a ``kind`` field are cell characterisations —
     the only request type earlier journals could hold — so old job
     stores replay unchanged.
     """
-    doc = dict(doc)
-    kind = doc.pop("kind", "cell")
-    if kind == "fleet":
-        return FleetRequest.from_dict(dict(doc, kind="fleet"))
-    if kind == "array":
-        return ArrayRequest.from_dict(dict(doc, kind="array"))
-    if kind != "cell":
+    kind = doc.get("kind", "cell")
+    if kind not in KINDS:
         raise ValueError(
             f"unknown request kind {kind!r}; expected one of "
-            f"{', '.join(REQUEST_KINDS)}")
-    return JobRequest.from_dict(doc)
+            f"{', '.join(KINDS)}")
+    return KINDS[kind].from_dict(doc)
 
 
 @dataclasses.dataclass
@@ -362,7 +440,7 @@ class Job:
     """
 
     id: str
-    request: Union[JobRequest, FleetRequest, ArrayRequest]
+    request: Request
     seq: int = 0
     priority: int = 0
     state: str = PENDING

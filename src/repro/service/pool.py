@@ -16,8 +16,8 @@ that does the periodic housekeeping a multi-consumer queue needs:
 
 The pool presents the same ``start`` / ``drain`` / ``stop`` /
 ``is_alive`` surface as a single :class:`Worker`, so the
-:class:`~repro.service.service.Service` facade (and older callers
-holding ``service.worker``) drive one object regardless of scale.
+:class:`~repro.service.service.Service` facade drives one object
+regardless of scale.
 """
 
 from __future__ import annotations

@@ -44,7 +44,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..analysis.perf import PERF
 from ..core.cache import ResultCache
-from .jobs import (CANCELLED, DONE, FAILED, Job, JobRequest, PENDING,
+from .jobs import (CANCELLED, DONE, FAILED, Job, PENDING, Request,
                    RUNNING, TERMINAL)
 from .store import JobStore
 
@@ -143,7 +143,7 @@ class Scheduler:
 
     # -- intake ----------------------------------------------------------
 
-    def submit(self, request: JobRequest,
+    def submit(self, request: Request,
                priority: int = 0) -> Tuple[Job, bool]:
         """Register ``request``; returns ``(job, deduped)``.
 

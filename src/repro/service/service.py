@@ -29,12 +29,10 @@ import time
 from typing import Any, Dict, Optional, Union
 
 from ..analysis.perf import PERF
-from ..constants import FAILURE_RATE_TARGET
 from ..core.cache import ResultCache
 from ..core.parallel import worker_share
 from ..spice.backends import backend_host_info
-from .jobs import ArrayRequest, FleetRequest, Job, JobRequest, \
-    TERMINAL, request_from_dict
+from .jobs import KINDS, Job, Request, TERMINAL, request_from_dict
 from .pool import WorkerPool
 from .scheduler import Scheduler
 from .store import ShardedJobStore, default_service_dir
@@ -120,11 +118,6 @@ class Service:
         if autostart:
             self.start()
 
-    @property
-    def worker(self) -> WorkerPool:
-        """Back-compat alias: the pool drives like a single worker."""
-        return self.pool
-
     # -- lifecycle -------------------------------------------------------
 
     def start(self) -> "Service":
@@ -150,26 +143,20 @@ class Service:
 
     # -- the five client verbs ------------------------------------------
 
-    def submit(self,
-               request: Union[JobRequest, FleetRequest, ArrayRequest,
-                              Dict[str, Any]],
+    def submit(self, request: Union[Request, Dict[str, Any]],
                priority: int = 0) -> Job:
-        """Queue a characterisation; dedups against live/cached work.
+        """Queue work of any kind; dedups against live/cached work.
 
-        Accepts cell characterisations (:class:`JobRequest`), fleet
-        evaluations (:class:`FleetRequest`; wire documents carry
-        ``"kind": "fleet"``) and array bank characterisations
-        (:class:`ArrayRequest`; ``"kind": "array"``).  Returns the (possibly pre-existing)
-        job; ``job.deduped`` is not a field — inspect
-        :meth:`submit_info` when the flag matters (the HTTP layer
-        reports it).
+        Accepts a request object or its wire document (``"kind"``
+        picks the class from :data:`~repro.service.jobs.KINDS`).
+        Returns the (possibly pre-existing) job; ``job.deduped`` is not
+        a field — inspect :meth:`submit_info` when the flag matters
+        (the HTTP layer reports it).
         """
         job, _ = self.submit_info(request, priority)
         return job
 
-    def submit_info(self,
-                    request: Union[JobRequest, FleetRequest,
-                                   ArrayRequest, Dict[str, Any]],
+    def submit_info(self, request: Union[Request, Dict[str, Any]],
                     priority: int = 0):
         if isinstance(request, dict):
             request = request_from_dict(request)
@@ -184,15 +171,12 @@ class Service:
         return job.to_dict()
 
     def result(self, job_id: str):
-        """The completed job's result payload (from the cache).
+        """The completed job's result payload, as its kind loads it.
 
         Cell jobs return a :class:`~repro.core.experiment.CellResult`;
         fleet and array jobs return the comparison document (a plain
-        dict).
-        Raises :class:`ServiceError` while the job is still live or
-        once it failed/was cancelled.  Falls back to a row-only result
-        if the cache entry was evicted (or the work ran on a remote
-        worker without a shared cache).
+        dict).  Raises :class:`ServiceError` while the job is still
+        live or once it failed/was cancelled.
         """
         job = self.scheduler.get(job_id)
         if job is None:
@@ -201,19 +185,7 @@ class Service:
             raise ServiceError(
                 f"job {job_id} is {job.state}"
                 + (f": {job.error}" if job.error else ""))
-        if isinstance(job.request, (FleetRequest, ArrayRequest)):
-            document = self.cache.load_doc(job.id)
-            return document if document is not None \
-                else (job.result_row or {})
-        cached = self.cache.load(job.id, job.request.to_cell(),
-                                 failure_rate=FAILURE_RATE_TARGET)
-        if cached is not None:
-            return cached
-        from ..core.experiment import CellResult
-        row = job.result_row or {}
-        return CellResult(cell=job.request.to_cell(), offset=None,
-                          delay_s=row.get("delay_ps", float("nan"))
-                          * 1e-12)
+        return job.request.load_result(self.cache, job)
 
     def cancel(self, job_id: str) -> bool:
         return self.scheduler.cancel(job_id)
@@ -255,6 +227,8 @@ class Service:
         perf = PERF.snapshot()
         counters = perf["counters"]
         requests = counters.get("cache.requests", 0)
+        blocks = {name: kind.metrics_block(perf)
+                  for name, kind in KINDS.items()}
         doc = self.scheduler.metrics()
         doc.update({
             "uptime_s": time.time() - self.started_at,
@@ -268,27 +242,8 @@ class Service:
             },
             "retries": counters.get("service.retries", 0),
             "timeouts": counters.get("service.timeouts", 0),
-            "fleet": {
-                "devices": counters.get("fleet.devices", 0),
-                "blocks": counters.get("fleet.blocks", 0),
-                "chunks": counters.get("fleet.chunks", 0),
-                "policies": counters.get("fleet.policies", 0),
-                "devices_per_sec":
-                    perf["gauges"].get("fleet.devices_per_sec", 0.0),
-            },
-            "array": {
-                "columns": counters.get("array.columns", 0),
-                "banks": counters.get("array.banks", 0),
-                "tasks": counters.get("array.tasks", 0),
-                "compares": counters.get("array.compares", 0),
-                "columns_per_sec":
-                    perf["gauges"].get("array.columns_per_sec", 0.0),
-                "geometry": {
-                    name: perf["gauges"].get(f"array.{name}", 0)
-                    for name in ("rows", "columns", "words_per_row",
-                                 "mux_factor", "bitline_pairs", "cells")
-                },
-            },
+            **{name: block for name, block in blocks.items()
+               if block is not None},
             "cache": dict(self.cache.stats(),
                           hit_rate=(counters.get("cache.hits", 0)
                                     / requests if requests else 0.0)),

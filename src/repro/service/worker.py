@@ -48,9 +48,9 @@ from typing import Callable, Dict, List, Optional
 
 from ..analysis.perf import PERF
 from ..core.cache import ResultCache
-from ..core.parallel import GridCancelled, GridTimeout, run_cells
+from ..core.parallel import GridCancelled, GridTimeout
 from ..spice.backends import compiled
-from .jobs import ArrayRequest, FleetRequest, Job
+from .jobs import Job
 from .scheduler import AckError, Scheduler
 
 #: Batch executor signature: ``runner(jobs, timeout_s, cancel) -> rows``
@@ -74,47 +74,12 @@ def run_batch(batch: List[Job], cache: Optional[ResultCache],
               cancel: threading.Event) -> List[Dict]:
     """Execute one claimed batch; returns a result row per job.
 
-    The default executor for local and remote workers alike.  Cell
-    batches go through :func:`~repro.core.parallel.run_cells`
-    (results persist through ``cache``); fleet and array batches
-    (always singletons — see :class:`~repro.service.jobs.FleetRequest`
-    / :class:`~repro.service.jobs.ArrayRequest`) run their engines and
-    persist the comparison document as a cache *doc* entry under the
-    job id.
+    The default executor for local and remote workers alike: the
+    batch's job kind runs it (see :mod:`~repro.service.jobs`).  Full
+    results persist through ``cache``.
     """
-    if isinstance(batch[0].request, ArrayRequest):
-        from ..array import ArrayEngine
-        rows = []
-        for job in batch:
-            request = job.request
-            spec, schemes = request.validate()
-            engine = ArrayEngine(spec, workers=request.workers,
-                                 chunk_size=request.chunk_size)
-            summary = engine.compare(schemes, timeout=timeout,
-                                     cancel=cancel)
-            if cache is not None:
-                cache.store_doc(job.id, summary)
-            rows.append(summary)
-        return rows
-    if isinstance(batch[0].request, FleetRequest):
-        from ..fleet import FleetEngine
-        rows = []
-        for job in batch:
-            request = job.request
-            spec, policies = request.validate()
-            engine = FleetEngine(spec, workers=request.workers,
-                                 chunk_size=request.chunk_size)
-            summary = engine.compare(policies, timeout=timeout,
-                                     cancel=cancel)
-            if cache is not None:
-                cache.store_doc(job.id, summary)
-            rows.append(summary)
-        return rows
-    kwargs = batch[0].request.run_kwargs()
-    results = run_cells([job.request.to_cell() for job in batch],
-                        cache=cache, workers=pool_workers,
-                        timeout=timeout, cancel=cancel, **kwargs)
-    return [result.row() for result in results]
+    return batch[0].request.execute(batch, cache, pool_workers,
+                                    timeout, cancel)
 
 
 class Worker(threading.Thread):

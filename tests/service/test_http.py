@@ -57,7 +57,7 @@ class TestEndpoints:
     def test_result_conflict_while_not_done(self, server):
         client, httpd = server
         # Park the worker so the job provably stays pending.
-        httpd.service.worker.drain(timeout=5)
+        httpd.service.pool.drain(timeout=5)
         job_id = client.submit(**request_fields(mc=16))
         # Asking for the result early is a 409, not a 500.
         with pytest.raises(ServiceError, match="pending"):
@@ -94,7 +94,7 @@ class TestEndpoints:
     def test_cancel_endpoint(self, server):
         client, httpd = server
         # Stop the worker so the job stays pending and is cancellable.
-        httpd.service.worker.drain(timeout=5)
+        httpd.service.pool.drain(timeout=5)
         job_id = client.submit(**request_fields(mc=16, seed=99))
         assert client.cancel(job_id)
         assert client.status(job_id)["state"] == "cancelled"
@@ -109,7 +109,7 @@ class TestWorkerProtocol:
 
     def _park_and_submit(self, server, **overrides):
         client, httpd = server
-        httpd.service.worker.drain(timeout=5)
+        httpd.service.pool.drain(timeout=5)
         return client, client.submit(**request_fields(**overrides))
 
     def test_claim_heartbeat_ack_roundtrip(self, server):
@@ -197,7 +197,7 @@ class TestRemoteWorker:
         from repro.core.cache import ResultCache
         from repro.service.worker import RemoteWorker
         client, httpd = server
-        httpd.service.worker.drain(timeout=5)
+        httpd.service.pool.drain(timeout=5)
         job_id = client.submit(**request_fields())
         worker = RemoteWorker(client, worker_id="rw-test",
                               cache=ResultCache(tmp_path / "wcache"),
@@ -286,6 +286,13 @@ MALFORMED_FLEETS = [
     ("policy", "rejuvenation_interval_years", NAN),
     ("policy", "rejuvenation_interval_years", INF),
     ("request", "timeout_s", NAN),
+    ("spec", "temps_c", [[-300.0, 1.0]]),
+    ("spec", "vdds", [[-1.0, 1.0]]),
+    ("spec", "vdds", [[0.0, 1.0]]),
+    ("request", "workers", 0),
+    ("request", "workers", -2),
+    ("request", "workers", 2.5),
+    ("request", "chunk_size", 2.5),
 ]
 
 MALFORMED_ARRAYS = [
@@ -296,6 +303,11 @@ MALFORMED_ARRAYS = [
     ("spec", "noise_margin_mv", NAN),
     ("spec", "times_s", [0.0, NAN]),
     ("request", "timeout_s", INF),
+    ("request", "workers", 0),
+    ("request", "workers", -2),
+    ("request", "workers", "4"),
+    ("request", "workers", True),
+    ("request", "chunk_size", 1.5),
 ]
 
 
@@ -304,7 +316,8 @@ def case_id(case):
 
 
 class TestMalformedFleetAndArrayJobs:
-    """Non-finite fleet and array inputs are refused at submit."""
+    """Non-finite or out-of-range fleet and array inputs are refused
+    at submit."""
 
     @pytest.mark.parametrize("case", MALFORMED_FLEETS, ids=case_id)
     def test_fleet_rejected_by_validate(self, case):
@@ -325,6 +338,15 @@ class TestMalformedFleetAndArrayJobs:
     def test_array_submit_is_400(self, server):
         assert_submit_refused(server[0], array_fields("spec", "times_s",
                                                       [0.0, NAN]))
+
+    @pytest.mark.parametrize("doc", [
+        fleet_fields("spec", "temps_c", [[-300.0, 1.0]]),
+        fleet_fields("spec", "vdds", [[-1.0, 1.0]]),
+        fleet_fields("request", "workers", 0),
+        array_fields("request", "workers", -2),
+    ], ids=["fleet-temp", "fleet-vdd", "fleet-workers", "array-workers"])
+    def test_out_of_range_submit_is_400(self, server, doc):
+        assert_submit_refused(server[0], doc)
 
 
 class TestRawBodies:

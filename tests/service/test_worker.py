@@ -12,10 +12,11 @@ import pytest
 from repro.analysis.perf import PERF
 from repro.core.cache import ResultCache
 from repro.core.parallel import GridTimeout
-from repro.service.jobs import (DONE, FAILED, JobRequest, PENDING)
+from repro.service.jobs import (ArrayRequest, DONE, FAILED, FleetRequest,
+                                Job, JobRequest, PENDING)
 from repro.service.scheduler import Scheduler
 from repro.service.store import JobStore
-from repro.service.worker import Worker
+from repro.service.worker import Worker, run_batch
 
 
 def request(**overrides):
@@ -172,3 +173,47 @@ class TestDrain:
         job, _ = scheduler.submit(request())
         time.sleep(0.05)
         assert job.state == PENDING
+
+
+class TestEngineWorkersCap:
+    """A request's ``workers`` never fans out past the host's CPUs.
+
+    The engine is replaced by a recorder, so no process starts.
+    """
+
+    REQUESTS = {
+        "fleet": lambda workers: FleetRequest(
+            spec={"n_devices": 64, "block_size": 64, "years": [1.0],
+                  "phases_per_year": 2, "reads_per_phase": 64},
+            policies=({"scheme": "nssa"},), workers=workers),
+        "array": lambda workers: ArrayRequest(
+            spec={"rows": 16, "columns": 2, "mc": 4,
+                  "offset_iterations": 4}, workers=workers),
+    }
+
+    @pytest.mark.parametrize("kind", ["fleet", "array"])
+    @pytest.mark.parametrize("workers, used", [(64, 3), (None, 3),
+                                               (3, 3), (1, 1)])
+    def test_capped_at_default_workers(self, monkeypatch, kind,
+                                       workers, used):
+        import repro.array
+        import repro.core.parallel
+        import repro.fleet
+
+        seen = []
+
+        class Recorder:
+            def __init__(self, spec, workers, chunk_size):
+                seen.append(workers)
+
+            def compare(self, items, timeout, cancel):
+                return {"items": len(items)}
+
+        monkeypatch.setattr(repro.core.parallel, "default_workers",
+                            lambda: 3)
+        monkeypatch.setattr(repro.fleet, "FleetEngine", Recorder)
+        monkeypatch.setattr(repro.array, "ArrayEngine", Recorder)
+        job = Job(id="j", request=self.REQUESTS[kind](workers))
+        rows = run_batch([job], None, 1, None, threading.Event())
+        assert seen == [used]
+        assert rows and rows[0]["items"] >= 1
