@@ -10,7 +10,7 @@ batched transient simulation with a per-sample input level.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -33,6 +33,18 @@ SEARCH_RANGE = 0.25
 #: Default number of bisection iterations (resolution ~ 30 uV over the
 #: default range, far below the ~15 mV distribution sigma).
 SEARCH_ITERATIONS = 14
+
+#: Bisection depth limit: grid indices are int64.  Past ~54 steps the
+#: grid is finer than the doubles near the range ends anyway.
+MAX_ITERATIONS = 62
+
+#: Guided-search pilot: the first ``PILOT`` samples of a batch are
+#: bisected over the full range and fit the offset predictor.
+PILOT = 48
+
+#: Guided-search bracket: every predicted sample is bisected inside a
+#: ``2**WINDOW_BITS``-cell bracket of the bisection grid.
+WINDOW_BITS = 6
 
 #: Spawn-key lane of the normal-fit bootstrap (fit-path ``spec_ci``).
 _FIT_BOOT_STREAM = 0x0F17
@@ -161,6 +173,165 @@ class OffsetDistribution:
         return reps
 
 
+@dataclasses.dataclass(frozen=True)
+class _Grid:
+    """The bisection grid of one extraction, and its sign reads.
+
+    Bisecting ``[-search_range, +search_range]`` for ``iterations``
+    steps visits the points of a ``2**iterations``-cell grid.  The
+    search runs on grid *indices*; :meth:`cell` turns an index into the
+    exact values plain bisection computes for it, so a bracket may start
+    at any grid point and still read bit-identical inputs.
+    """
+
+    search_range: float
+    iterations: int
+    swapped: bool
+    t_window: float
+
+    @property
+    def cells(self) -> int:
+        return 1 << self.iterations
+
+    def cell(self, k: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Lower and upper edge values of grid cells ``k``.
+
+        Replays the bisection's ``0.5 * (lo + hi)`` halvings along the
+        bits of ``k``, so each edge is the very float plain bisection
+        computes for that point, for any ``search_range``.  (The closed
+        form ``-search_range + k * step`` agrees only for dyadic ranges
+        such as the default.)
+        """
+        lo = np.full(k.shape, -self.search_range)
+        hi = np.full(k.shape, self.search_range)
+        for bit in range(self.iterations - 1, -1, -1):
+            mid = 0.5 * (lo + hi)
+            up = (k >> bit) & 1 == 1
+            lo = np.where(up, mid, lo)
+            hi = np.where(up, hi, mid)
+        return lo, hi
+
+    @property
+    def polarity(self) -> float:
+        # Through the swapped pass pair the internal differential is the
+        # negated external input, so the resolution is *decreasing* in
+        # vin; negating restores a rising decision for the bisection.
+        return -1.0 if self.swapped else 1.0
+
+    def rises(self, bench: SenseAmpTestbench, vin: np.ndarray,
+              mask: Optional[np.ndarray] = None) -> np.ndarray:
+        """Whether each sample resolves +1 (rising frame) at ``vin``."""
+        return self.polarity * bench.resolve_sign(
+            vin, swapped=self.swapped, t_window=self.t_window,
+            sample_mask=mask) > 0
+
+    def rises_pair(self, bench: SenseAmpTestbench, vin_hi: np.ndarray,
+                   vin_lo: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`rises` at two inputs in one fused 2x-batch read."""
+        sign_hi, sign_lo = bench.resolve_sign_pair(
+            vin_hi, vin_lo, swapped=self.swapped, t_window=self.t_window)
+        return self.polarity * sign_hi > 0, self.polarity * sign_lo > 0
+
+
+def _bisect(grid: _Grid, bench: SenseAmpTestbench, lo: np.ndarray,
+            hi: np.ndarray, steps: int,
+            active: Optional[np.ndarray] = None) -> np.ndarray:
+    """Bisect grid indices ``[lo, hi]`` for ``steps`` batched reads.
+
+    Each read tests the index midpoint at its exact grid value and keeps
+    the half whose ends disagree; returns the final lower indices.  With
+    ``hi - lo == 2**steps`` that is the flip cell of every active sample
+    whose bracket ends disagree.
+    """
+    for _ in range(steps):
+        PERF.count("offset.bisection_iterations")
+        mid = (lo + hi) // 2
+        rises = grid.rises(bench, grid.cell(mid)[0], active)
+        hi = np.where(rises, mid, hi)
+        lo = np.where(rises, lo, mid)
+    return lo
+
+
+def _sub_bench(testbench: SenseAmpTestbench,
+               index: np.ndarray) -> SenseAmpTestbench:
+    """A fresh testbench over the samples ``index`` of ``testbench``."""
+    bench = SenseAmpTestbench(testbench.design, testbench.env,
+                              batch_size=index.size,
+                              timing=testbench.timing,
+                              newton=testbench.newton,
+                              early_decision=testbench.early_decision,
+                              backend=testbench.backend)
+    bench.set_vth_shifts({
+        name: shift[index] if isinstance(shift, np.ndarray) and shift.ndim
+        else shift
+        for name, shift in testbench.system.vth_shifts().items()})
+    return bench
+
+
+def _full_range(grid: _Grid, bench: SenseAmpTestbench,
+                active: Optional[np.ndarray] = None) -> np.ndarray:
+    """Plain bisection over the whole search range."""
+    batch = bench.batch_size
+    return _bisect(grid, bench, np.zeros(batch, dtype=np.int64),
+                   np.full(batch, grid.cells, dtype=np.int64),
+                   grid.iterations, active)
+
+
+def _guided_search(grid: _Grid, testbench: SenseAmpTestbench,
+                   in_range: np.ndarray,
+                   mask_out_of_range: bool) -> np.ndarray:
+    """Flip cells of a large batch via a pilot-fitted predictor.
+
+    The first :data:`PILOT` samples are bisected in full; their flip
+    thresholds are least-squares fitted on the per-device Vth shifts
+    plus a constant.  Every other in-range sample gets a
+    ``2**WINDOW_BITS``-cell bracket centred on its prediction; one fused
+    read confirms it and :data:`WINDOW_BITS` reads bisect inside it.  A
+    sample whose sign is monotone in the input has one flip cell, a
+    confirmed bracket contains it and its midpoints are grid points, so
+    the result is plain bisection's, bit for bit.  Unconfirmed samples
+    (misses) are bisected in full.  Each set runs on its own
+    sub-testbench.
+    """
+    batch = testbench.batch_size
+    cell = np.zeros(batch, dtype=np.int64)
+    pilot = np.arange(PILOT)
+    cell[pilot] = _full_range(grid, _sub_bench(testbench, pilot),
+                              in_range[pilot] if mask_out_of_range
+                              else None)
+
+    shifts = [shift for shift in testbench.system.vth_shifts().values()
+              if isinstance(shift, np.ndarray) and shift.ndim]
+    features = np.column_stack(shifts + [np.ones(batch)])
+    fitted = pilot[in_range[pilot]]
+    lo, hi = grid.cell(cell[fitted])
+    coef = np.linalg.lstsq(features[fitted], 0.5 * (lo + hi),
+                           rcond=None)[0]
+
+    guided = PILOT + np.flatnonzero(in_range[PILOT:])
+    if not guided.size:
+        return cell
+    width = 1 << WINDOW_BITS
+    step = 2.0 * grid.search_range / grid.cells
+    centre = np.floor((features[guided] @ coef + grid.search_range) / step)
+    start = np.clip(np.nan_to_num(centre) - width // 2, 0,
+                    grid.cells - width).astype(np.int64)
+    bench = _sub_bench(testbench, guided)
+    rises_hi, rises_lo = grid.rises_pair(
+        bench, grid.cell(start + width - 1)[1], grid.cell(start)[0])
+    hit = rises_hi & ~rises_lo
+    hits = int(hit.sum())
+    PERF.count("offset.guided_samples", hits)
+    PERF.count("offset.guided_misses", guided.size - hits)
+    if hits:
+        cell[guided] = _bisect(grid, bench, start, start + width,
+                               WINDOW_BITS, hit)
+    missed = guided[~hit]
+    if missed.size:
+        cell[missed] = _full_range(grid, _sub_bench(testbench, missed))
+    return cell
+
+
 def extract_offsets(testbench: SenseAmpTestbench,
                     search_range: float = SEARCH_RANGE,
                     iterations: int = SEARCH_ITERATIONS,
@@ -177,6 +348,11 @@ def extract_offsets(testbench: SenseAmpTestbench,
     never spends Newton iterations on samples whose result is already
     known to be NaN.
 
+    Batches larger than ``2 * PILOT`` searched for more than
+    ``WINDOW_BITS + 1`` iterations take the guided search (see
+    :func:`_guided_search`); its results equal plain bisection's bit
+    for bit.
+
     Sign convention follows the paper's figures: the offset voltage is
     the *extra input the SA demands*, so aging that favours reading 1
     (read-0-heavy workloads weakening the S-side pull-down) yields a
@@ -185,39 +361,29 @@ def extract_offsets(testbench: SenseAmpTestbench,
     """
     if iterations < 1:
         raise ValueError("need at least one bisection iteration")
+    if iterations > MAX_ITERATIONS:
+        raise ValueError(f"at most {MAX_ITERATIONS} bisection iterations")
     if search_range <= 0.0:
         raise ValueError("search range must be positive")
+    grid = _Grid(search_range, iterations, swapped, t_window)
     batch = testbench.batch_size
-    lo = np.full(batch, -search_range)
-    hi = np.full(batch, +search_range)
-    # Through the swapped pass pair the internal differential is the
-    # negated external input, so the resolution is *decreasing* in vin;
-    # negating restores a rising decision for the bisection.
-    polarity = -1.0 if swapped else 1.0
-
-    def decision(vin: np.ndarray,
-                 mask: Optional[np.ndarray] = None) -> np.ndarray:
-        return polarity * testbench.resolve_sign(vin, swapped=swapped,
-                                                 t_window=t_window,
-                                                 sample_mask=mask)
 
     # Both endpoint reads in one stacked 2x-batch transient.
     sign_hi, sign_lo = testbench.resolve_sign_pair(
-        hi, lo, swapped=swapped, t_window=t_window)
-    in_range = (polarity * sign_hi > 0) & (polarity * sign_lo < 0)
+        np.full(batch, +search_range), np.full(batch, -search_range),
+        swapped=swapped, t_window=t_window)
+    in_range = (grid.polarity * sign_hi > 0) & (grid.polarity * sign_lo < 0)
     active = in_range if mask_out_of_range else None
     PERF.count("offset.samples", batch)
     PERF.count("offset.samples_out_of_range", int(batch - in_range.sum()))
 
-    for _ in range(iterations):
-        PERF.count("offset.bisection_iterations")
-        mid = 0.5 * (lo + hi)
-        sign = decision(mid, mask=active)
-        hi = np.where(sign > 0, mid, hi)
-        lo = np.where(sign > 0, lo, mid)
-
-    flip_threshold = 0.5 * (lo + hi)
-    return np.where(in_range, -flip_threshold, np.nan)
+    if batch > 2 * PILOT and iterations > WINDOW_BITS + 1:
+        cell = _guided_search(grid, testbench, in_range,
+                              mask_out_of_range)
+    else:
+        cell = _full_range(grid, testbench, active)
+    lo, hi = grid.cell(cell)
+    return np.where(in_range, -0.5 * (lo + hi), np.nan)
 
 
 def offset_distribution(testbench: SenseAmpTestbench,
