@@ -166,17 +166,18 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _submit(self) -> None:
         body = self._body()
+        if not isinstance(body, dict):
+            raise ValueError("body must be a JSON object")
         request = body.get("request", body)
-        priority = int(body.get("priority", 0))
-        if isinstance(request, dict):
-            request = {k: v for k, v in request.items()
-                       if k != "priority"}
-        try:
-            job, deduped = self.server.service.submit_info(
-                request, priority=priority)
-        except (ValueError, TypeError) as exc:
-            self._error(400, str(exc))
-            return
+        if not isinstance(request, dict):
+            raise ValueError("'request' must be a JSON object")
+        priority = body.get("priority", 0)
+        if isinstance(priority, bool) or not isinstance(priority, int):
+            raise ValueError(
+                f"'priority' must be an integer, got {priority!r}")
+        request = {k: v for k, v in request.items() if k != "priority"}
+        job, deduped = self.server.service.submit_info(
+            request, priority=priority)
         self._reply(200, {"id": job.id, "state": job.state,
                           "deduped": deduped,
                           "from_cache": job.from_cache})

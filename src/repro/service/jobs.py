@@ -56,6 +56,20 @@ def _require_finite(request: Any, *names: str) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _require_positive_int(request: Any, *names: str) -> None:
+    """Raise ``ValueError`` if a set field is not a positive integer.
+
+    Booleans are refused although ``bool`` subclasses ``int``.
+    """
+    for name in names:
+        value = getattr(request, name)
+        if value is not None and (isinstance(value, bool)
+                                  or not isinstance(value, int)
+                                  or value < 1):
+            raise ValueError(
+                f"{name} must be a positive integer, got {value!r}")
+
+
 @dataclasses.dataclass(frozen=True)
 class JobRequest:
     """One cell characterisation, in wire-format primitives.
@@ -91,12 +105,9 @@ class JobRequest:
         _require_finite(self, "time_s", "temp_c", "vdd", "dt", "timeout_s")
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
-        if self.mc < 1:
-            raise ValueError("mc must be at least 1")
-        if self.offset_iterations < 1:
-            raise ValueError("offset_iterations must be at least 1")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError("chunk size must be positive")
+        if self.mc is None or self.offset_iterations is None:
+            raise ValueError("mc and offset_iterations must be set")
+        _require_positive_int(self, "mc", "offset_iterations", "chunk_size")
         self.to_cell()
 
     def to_cell(self):
@@ -242,13 +253,7 @@ class EngineRequest:
         constructs in one step.
         """
         _require_finite(self, "timeout_s")
-        for name in ("chunk_size", "workers"):
-            value = getattr(self, name)
-            if value is not None and (isinstance(value, bool)
-                                      or not isinstance(value, int)
-                                      or value < 1):
-                raise ValueError(
-                    f"{name} must be a positive integer, got {value!r}")
+        _require_positive_int(self, "chunk_size", "workers")
         return self._parse()
 
     def _physics(self) -> Dict[str, Any]:

@@ -362,3 +362,15 @@ class TestRawBodies:
             doc = json.loads(resp.read().decode())
         assert doc["id"]
         HttpClient(client.base_url).wait(doc["id"], timeout=60)
+
+    @pytest.mark.parametrize("doc", [
+        [1, 2],
+        {"request": "x"},
+        {"request": [1, 2]},
+        {"request": request_fields(), "priority": "x"},
+        {"request": request_fields(), "priority": 1.5},
+        {"request": request_fields(), "priority": True},
+    ], ids=["list-body", "string-request", "list-request",
+            "string-priority", "float-priority", "bool-priority"])
+    def test_malformed_submit_is_400(self, server, doc):
+        assert_submit_refused(server[0], doc)

@@ -132,6 +132,23 @@ def test_unknown_field_rejected(kind):
         request_from_dict(document)
 
 
+#: Count fields of each kind that must be positive, non-bool integers.
+COUNT_FIELDS = {"cell": ("mc", "offset_iterations", "chunk_size"),
+                "fleet": ("chunk_size", "workers"),
+                "array": ("chunk_size", "workers")}
+
+
+@pytest.mark.parametrize("kind,name", [
+    (kind, name) for kind in sorted(COUNT_FIELDS)
+    for name in COUNT_FIELDS[kind]])
+@pytest.mark.parametrize("value", [True, 2.5, 0, -1, "4"])
+def test_non_integer_count_rejected(kind, name, value):
+    request, _ = CASES[kind]
+    request.validate()
+    with pytest.raises(ValueError, match="positive integer"):
+        dataclasses.replace(request, **{name: value}).validate()
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="unknown request kind"):
         request_from_dict({"kind": "teleport"})
