@@ -169,13 +169,20 @@ class SenseAmpTestbench:
         self.system.set_vth_shifts(dict(shifts))
         # Recorded trajectories belong to the previous device
         # population; drop them rather than seed across populations.
-        self._trajectories.clear()
+        self.forget_trajectories()
         self._fused_shifts_stale = True
 
     def clear_vth_shifts(self) -> None:
         self.system.clear_vth_shifts()
-        self._trajectories.clear()
+        self.forget_trajectories()
         self._fused_shifts_stale = True
+
+    def forget_trajectories(self) -> None:
+        """Drop the recorded sign-read trajectories (and their memory).
+
+        The next sign read of each kind starts unseeded.
+        """
+        self._trajectories.clear()
 
     # -- simulation ------------------------------------------------------
 
