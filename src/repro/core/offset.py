@@ -232,17 +232,23 @@ def _bisect(grid: _Grid, bench: SenseAmpTestbench, lo: np.ndarray,
     """Bisect grid indices ``[lo, hi]`` for ``steps`` batched reads.
 
     Each read tests the index midpoint at its exact grid value and keeps
-    the half whose ends disagree; returns the final lower indices.  With
-    ``hi - lo == 2**steps`` that is the flip cell of every active sample
-    whose bracket ends disagree.
+    the half whose ends disagree.  With ``hi - lo == 2**steps`` the
+    final bracket is the flip cell of every active sample whose bracket
+    ends disagree; returns its midpoint, the flip threshold [V].
     """
+    # From brackets that are nodes of the bisection tree (the full range
+    # is one) halving the end values is plain bisection's own
+    # arithmetic; from any other bracket each midpoint is replayed.
+    tree = bool(np.all(lo % (hi - lo) == 0))
+    v_lo, v_hi = grid.cell(lo)[0], grid.cell(hi - 1)[1]
     for _ in range(steps):
         PERF.count("offset.bisection_iterations")
         mid = (lo + hi) // 2
-        rises = grid.rises(bench, grid.cell(mid)[0], active)
-        hi = np.where(rises, mid, hi)
-        lo = np.where(rises, lo, mid)
-    return lo
+        v_mid = 0.5 * (v_lo + v_hi) if tree else grid.cell(mid)[0]
+        rises = grid.rises(bench, v_mid, active)
+        hi, v_hi = np.where(rises, mid, hi), np.where(rises, v_mid, v_hi)
+        lo, v_lo = np.where(rises, lo, mid), np.where(rises, v_lo, v_mid)
+    return 0.5 * (v_lo + v_hi)
 
 
 def _sub_bench(testbench: SenseAmpTestbench,
@@ -273,7 +279,7 @@ def _full_range(grid: _Grid, bench: SenseAmpTestbench,
 def _guided_search(grid: _Grid, testbench: SenseAmpTestbench,
                    in_range: np.ndarray,
                    mask_out_of_range: bool) -> np.ndarray:
-    """Flip cells of a large batch via a pilot-fitted predictor.
+    """Flip thresholds of a large batch via a pilot-fitted predictor.
 
     The first :data:`PILOT` samples are bisected in full; their flip
     thresholds are least-squares fitted on the per-device Vth shifts
@@ -287,9 +293,9 @@ def _guided_search(grid: _Grid, testbench: SenseAmpTestbench,
     sub-testbench.
     """
     batch = testbench.batch_size
-    cell = np.zeros(batch, dtype=np.int64)
+    flip = np.full(batch, np.nan)
     pilot = np.arange(PILOT)
-    cell[pilot] = _full_range(grid, _sub_bench(testbench, pilot),
+    flip[pilot] = _full_range(grid, _sub_bench(testbench, pilot),
                               in_range[pilot] if mask_out_of_range
                               else None)
 
@@ -297,13 +303,11 @@ def _guided_search(grid: _Grid, testbench: SenseAmpTestbench,
               if isinstance(shift, np.ndarray) and shift.ndim]
     features = np.column_stack(shifts + [np.ones(batch)])
     fitted = pilot[in_range[pilot]]
-    lo, hi = grid.cell(cell[fitted])
-    coef = np.linalg.lstsq(features[fitted], 0.5 * (lo + hi),
-                           rcond=None)[0]
+    coef = np.linalg.lstsq(features[fitted], flip[fitted], rcond=None)[0]
 
     guided = PILOT + np.flatnonzero(in_range[PILOT:])
     if not guided.size:
-        return cell
+        return flip
     width = 1 << WINDOW_BITS
     step = 2.0 * grid.search_range / grid.cells
     centre = np.floor((features[guided] @ coef + grid.search_range) / step)
@@ -319,12 +323,12 @@ def _guided_search(grid: _Grid, testbench: SenseAmpTestbench,
     PERF.count("offset.guided_samples", hits)
     PERF.count("offset.guided_misses", guided.size - hits)
     if hits:
-        cell[guided] = _bisect(grid, bench, start, start + width,
+        flip[guided] = _bisect(grid, bench, start, start + width,
                                WINDOW_BITS, hit)
     missed = guided[~hit]
     if missed.size:
-        cell[missed] = _full_range(grid, _sub_bench(testbench, missed))
-    return cell
+        flip[missed] = _full_range(grid, _sub_bench(testbench, missed))
+    return flip
 
 
 def extract_offsets(testbench: SenseAmpTestbench,
@@ -376,12 +380,11 @@ def extract_offsets(testbench: SenseAmpTestbench,
         # No sign read on this bench follows: free the endpoint seed,
         # which pins the whole 2x-batch state history.
         testbench.forget_trajectories()
-        cell = _guided_search(grid, testbench, in_range,
+        flip = _guided_search(grid, testbench, in_range,
                               mask_out_of_range)
     else:
-        cell = _full_range(grid, testbench, active)
-    lo, hi = grid.cell(cell)
-    return np.where(in_range, -0.5 * (lo + hi), np.nan)
+        flip = _full_range(grid, testbench, active)
+    return np.where(in_range, -flip, np.nan)
 
 
 def offset_distribution(testbench: SenseAmpTestbench,
