@@ -194,7 +194,7 @@ class _Grid:
         return 1 << self.iterations
 
     def cell(self, k: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Lower and upper edge values of grid cells ``k``.
+        """Lower and upper edge values of grid cells ``k`` (1-D).
 
         Replays the bisection's ``0.5 * (lo + hi)`` halvings along the
         bits of ``k``, so each edge is the very float plain bisection
@@ -204,9 +204,9 @@ class _Grid:
         """
         lo = np.full(k.shape, -self.search_range)
         hi = np.full(k.shape, self.search_range)
-        for bit in range(self.iterations - 1, -1, -1):
+        bits = np.arange(self.iterations - 1, -1, -1)
+        for up in ((k[:, None] >> bits) & 1).astype(bool).T:
             mid = 0.5 * (lo + hi)
-            up = (k >> bit) & 1 == 1
             lo = np.where(up, mid, lo)
             hi = np.where(up, hi, mid)
         return lo, hi
@@ -311,7 +311,7 @@ def _guided_search(grid: _Grid, testbench: SenseAmpTestbench,
     width = 1 << WINDOW_BITS
     step = 2.0 * grid.search_range / grid.cells
     centre = np.floor((features[guided] @ coef + grid.search_range) / step)
-    start = np.clip(np.nan_to_num(centre) - width // 2, 0,
+    start = np.clip(centre - width // 2, 0,
                     grid.cells - width).astype(np.int64)
     bench = _sub_bench(testbench, guided)
     # Two plain reads, not one fused 2x-batch read: the fused system
