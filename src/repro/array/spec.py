@@ -17,6 +17,7 @@ import dataclasses
 import math
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..core.offset import MAX_ITERATIONS
 from ..workloads import paper_workload
 
 #: Spawn-key stream of every array draw lane (disjoint from the cell
@@ -105,8 +106,9 @@ class ArraySpec:
         if not isinstance(self.mc, int) or self.mc < 2:
             raise ValueError("mc population must be at least 2")
         if not isinstance(self.offset_iterations, int) \
-                or self.offset_iterations < 1:
-            raise ValueError("offset iterations must be positive")
+                or not 1 <= self.offset_iterations <= MAX_ITERATIONS:
+            raise ValueError(f"offset iterations must be in 1.."
+                             f"{MAX_ITERATIONS}")
         if self.swing_mv <= 0.0 or self.noise_margin_mv < 0.0:
             raise ValueError("swing must be positive, margin non-negative")
 

@@ -10,7 +10,7 @@ batched transient simulation with a per-sample input level.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -179,8 +179,8 @@ class _Grid:
 
     Bisecting ``[-search_range, +search_range]`` for ``iterations``
     steps visits the points of a ``2**iterations``-cell grid.  The
-    search runs on grid *indices*; :meth:`cell` turns an index into the
-    exact values plain bisection computes for it, so a bracket may start
+    search runs on grid *indices*; :meth:`point` turns an index into the
+    exact value plain bisection computes for it, so a bracket may start
     at any grid point and still read bit-identical inputs.
     """
 
@@ -193,23 +193,26 @@ class _Grid:
     def cells(self) -> int:
         return 1 << self.iterations
 
-    def cell(self, k: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Lower and upper edge values of grid cells ``k`` (1-D).
+    def point(self, k: np.ndarray) -> np.ndarray:
+        """Values of grid points ``k`` (``0`` to ``cells``, 1-D).
 
         Replays the bisection's ``0.5 * (lo + hi)`` halvings along the
-        bits of ``k``, so each edge is the very float plain bisection
-        computes for that point, for any ``search_range``.  (The closed
-        form ``-search_range + k * step`` agrees only for dyadic ranges
-        such as the default.)
+        bits of ``k`` down to its lowest set bit, so each value is the
+        very float plain bisection computes for that point, for any
+        ``search_range``.  (The closed form ``-search_range + k * step``
+        agrees only for dyadic ranges such as the default.)
         """
         lo = np.full(k.shape, -self.search_range)
         hi = np.full(k.shape, self.search_range)
-        bits = np.arange(self.iterations - 1, -1, -1)
+        # Halvings below every index's lowest set bit only move ``hi``.
+        low = int(np.bitwise_or.reduce(k, initial=0))
+        stop = (low & -low).bit_length() - 1 if low else self.iterations
+        bits = np.arange(self.iterations - 1, stop - 1, -1)
         for up in ((k[:, None] >> bits) & 1).astype(bool).T:
             mid = 0.5 * (lo + hi)
             lo = np.where(up, mid, lo)
             hi = np.where(up, hi, mid)
-        return lo, hi
+        return np.where(k == self.cells, self.search_range, lo)
 
     @property
     def polarity(self) -> float:
@@ -240,11 +243,11 @@ def _bisect(grid: _Grid, bench: SenseAmpTestbench, lo: np.ndarray,
     # is one) halving the end values is plain bisection's own
     # arithmetic; from any other bracket each midpoint is replayed.
     tree = bool(np.all(lo % (hi - lo) == 0))
-    v_lo, v_hi = grid.cell(lo)[0], grid.cell(hi - 1)[1]
+    v_lo, v_hi = grid.point(lo), grid.point(hi)
     for _ in range(steps):
         PERF.count("offset.bisection_iterations")
         mid = (lo + hi) // 2
-        v_mid = 0.5 * (v_lo + v_hi) if tree else grid.cell(mid)[0]
+        v_mid = 0.5 * (v_lo + v_hi) if tree else grid.point(mid)
         rises = grid.rises(bench, v_mid, active)
         hi, v_hi = np.where(rises, mid, hi), np.where(rises, v_mid, v_hi)
         lo, v_lo = np.where(rises, lo, mid), np.where(rises, v_lo, v_mid)
@@ -317,8 +320,8 @@ def _guided_search(grid: _Grid, testbench: SenseAmpTestbench,
     # Two plain reads, not one fused 2x-batch read: the fused system
     # and its doubled state history raised a 400-sample cell's peak
     # RSS by ~4 MB (~4 %) and saved no measurable time.
-    hit = (grid.rises(bench, grid.cell(start + width - 1)[1])
-           & ~grid.rises(bench, grid.cell(start)[0]))
+    hit = (grid.rises(bench, grid.point(start + width))
+           & ~grid.rises(bench, grid.point(start)))
     hits = int(hit.sum())
     PERF.count("offset.guided_samples", hits)
     PERF.count("offset.guided_misses", guided.size - hits)

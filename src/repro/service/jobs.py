@@ -105,9 +105,13 @@ class JobRequest:
         _require_finite(self, "time_s", "temp_c", "vdd", "dt", "timeout_s")
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
+        from ..core.offset import MAX_ITERATIONS
         if self.mc is None or self.offset_iterations is None:
             raise ValueError("mc and offset_iterations must be set")
         _require_positive_int(self, "mc", "offset_iterations", "chunk_size")
+        if self.offset_iterations > MAX_ITERATIONS:
+            raise ValueError(
+                f"offset_iterations must be at most {MAX_ITERATIONS}")
         self.to_cell()
 
     def to_cell(self):

@@ -200,8 +200,7 @@ def test_window_bisection_replays_plain_arithmetic(search_range):
     bench = ThresholdBench(thresholds)
     grid = offset._Grid(search_range, iterations, False, 0.0)
     np.testing.assert_array_equal(offset._full_range(grid, bench), plain)
-    edges = grid.cell(np.arange(grid.cells))[0]
-    flip = np.searchsorted(edges, plain) - 1
+    flip = np.searchsorted(grid.point(np.arange(grid.cells)), plain) - 1
     start = np.clip(flip - rng.integers(0, width, flip.size), 0,
                     grid.cells - width)
     assert np.any(start % width)  # unaligned brackets are replayed

@@ -308,6 +308,7 @@ MALFORMED_ARRAYS = [
     ("request", "workers", "4"),
     ("request", "workers", True),
     ("request", "chunk_size", 1.5),
+    ("spec", "offset_iterations", 63),
 ]
 
 

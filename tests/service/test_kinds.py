@@ -149,6 +149,12 @@ def test_non_integer_count_rejected(kind, name, value):
         dataclasses.replace(request, **{name: value}).validate()
 
 
+def test_cell_bisection_depth_bounded():
+    request, _ = CASES["cell"]
+    with pytest.raises(ValueError, match="at most 62"):
+        dataclasses.replace(request, offset_iterations=63).validate()
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="unknown request kind"):
         request_from_dict({"kind": "teleport"})
