@@ -14,10 +14,10 @@ bitline pairs through the column mux.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.offset import MAX_ITERATIONS
+from ..validation import finite_real, require_finite, require_int
 from ..workloads import paper_workload
 
 #: Spawn-key stream of every array draw lane (disjoint from the cell
@@ -79,23 +79,21 @@ class ArraySpec:
     noise_margin_mv: float = 20.0
 
     def __post_init__(self) -> None:
-        for name in ("rows", "columns", "words_per_row", "mux_factor"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise ValueError(f"{name} must be a positive integer")
+        require_int(self, "rows", "columns", "words_per_row", "mux_factor")
+        require_int(self, "mc", minimum=2)
+        require_int(self, "offset_iterations")
+        require_int(self, "seed", minimum=0)
+        require_finite(self, "temp_c", "vdd", "swing_mv", "noise_margin_mv")
         if self.mux_factor % self.words_per_row != 0:
             raise ValueError(
                 "mux factor must be a multiple of words per row")
         if self.workload is not None:
             paper_workload(self.workload)  # validates the name
-        for name in ("temp_c", "vdd", "swing_mv", "noise_margin_mv"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        times = tuple(float(t) for t in self.times_s)
+        times = tuple(finite_real(t, "time") for t in self.times_s)
         if not times:
             raise ValueError("at least one time checkpoint is required")
-        if not all(math.isfinite(t) and t >= 0.0 for t in times):
-            raise ValueError("times must be finite and non-negative")
+        if not all(t >= 0.0 for t in times):
+            raise ValueError("times must be non-negative")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("times must be strictly increasing")
         object.__setattr__(self, "times_s", times)
@@ -103,10 +101,7 @@ class ArraySpec:
             raise ValueError("temperature must be above absolute zero")
         if self.vdd <= 0.0:
             raise ValueError("vdd must be positive")
-        if not isinstance(self.mc, int) or self.mc < 2:
-            raise ValueError("mc population must be at least 2")
-        if not isinstance(self.offset_iterations, int) \
-                or not 1 <= self.offset_iterations <= MAX_ITERATIONS:
+        if self.offset_iterations > MAX_ITERATIONS:
             raise ValueError(f"offset iterations must be in 1.."
                              f"{MAX_ITERATIONS}")
         if self.swing_mv <= 0.0 or self.noise_margin_mv < 0.0:

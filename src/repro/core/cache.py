@@ -340,10 +340,22 @@ class ResultCache:
         """Whether a document entry for ``key`` exists on disk."""
         return self._doc_path(key).is_file()
 
+    @staticmethod
+    def _doc_checksum(document: Any) -> str:
+        """SHA-256 of ``document``'s canonical JSON bytes."""
+        blob = json.dumps(document, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(blob.encode()).hexdigest()
+
     def store_doc(self, key: str, document: Any) -> None:
-        """Atomically write a JSON document under ``key``."""
+        """Atomically write a JSON document under ``key``.
+
+        The entry holds the document beside the SHA-256 of its
+        canonical bytes, which :meth:`load_doc` checks.
+        """
         self.directory.mkdir(parents=True, exist_ok=True)
-        blob = json.dumps(document, sort_keys=True).encode()
+        blob = json.dumps({"doc": document,
+                           "sha256": self._doc_checksum(document)},
+                          sort_keys=True).encode()
         self._atomic_write(self._doc_path(key), lambda fh: fh.write(blob))
         PERF.count("cache.doc_stores")
         PERF.count("cache.bytes_written", len(blob))
@@ -352,14 +364,21 @@ class ResultCache:
         """Return the cached document for ``key``, or ``None``.
 
         Unreadable or truncated entries count as misses, mirroring
-        :meth:`load`.
+        :meth:`load`, and so do entries whose document no longer
+        matches its stored checksum or that carry none: JSON has no
+        CRC of its own, so a flipped digit would otherwise be served.
         """
         PERF.count("cache.requests")
         path = self._doc_path(key)
         try:
             blob = path.read_bytes()
-            document = json.loads(blob)
-        except (OSError, ValueError, json.JSONDecodeError):
+            entry = json.loads(blob)
+            document = entry["doc"]
+            intact = entry["sha256"] == self._doc_checksum(document)
+        except (OSError, ValueError, json.JSONDecodeError, KeyError,
+                TypeError):
+            intact = False
+        if not intact:
             PERF.count("cache.misses")
             return None
         PERF.count("cache.hits")

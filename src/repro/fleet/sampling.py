@@ -39,6 +39,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -51,6 +52,7 @@ from ..core.mitigation import (NMOS_PAIR_SENSITIVITY,
                                NMOS_PAIR_SENSITIVITY_TC)
 from ..models.ptm45 import gate_area
 from ..models.variation import MismatchModel, keyed_rng
+from ..spice.backends.compiled import cpu_slots
 from .spec import FLEET_STREAM, FleetSpec, MitigationPolicy
 
 #: RNG lane identifiers within ``FLEET_STREAM``.
@@ -234,16 +236,15 @@ def block_draws(spec: FleetSpec, policy: MitigationPolicy,
 # -- occupancy propagation ----------------------------------------------
 #
 # The vector walk replays the duty-cycled master-equation step of
-# ``aging.occupancy.ac_occupancy`` in-place over the whole block's trap
-# arrays:
+# ``aging.occupancy.ac_occupancy`` in-place over a lane's trap arrays:
 #
 #     k_c = duty / tau_c;  k_e = 1 / tau_e
 #     P'  = P_inf + (P - P_inf) * exp(-(k_c + k_e) * t)
 #
 # Numpy elementwise kernels are value-deterministic regardless of array
-# length or broadcasting, so this agrees bitwise with calling
+# length, offset or calling thread, so this agrees bitwise with calling
 # ``ac_occupancy`` on one device's trap slice at a time (pinned by
-# tests).
+# tests) however the traps are sliced and whichever thread walks them.
 
 #: ``np.exp(-x)`` is exactly ``0.0`` for ``x >= 746`` (beyond the
 #: subnormal range).  A trap whose emission rate alone satisfies
@@ -254,11 +255,22 @@ def block_draws(spec: FleetSpec, policy: MitigationPolicy,
 #: their steady state only at checkpoints.
 FAST_TRAP_EXPONENT = 746.0
 
+#: Traps per slice of the occupancy walk.  A slice's five working
+#: arrays (~650 kB) stay in cache while it marches through every phase;
+#: a whole lane's (~10 MB) would stream from memory on every pass.
+WALK_SLICE = 16384
+
 
 def _lane_shifts_vector(lane: _TrapLane, duty: np.ndarray,
                         phase_s: float, checkpoints: Tuple[int, ...],
                         size: int) -> List[np.ndarray]:
-    """Per-checkpoint dVth (size,) with all traps propagated at once."""
+    """Per-checkpoint dVth (size,) with all traps propagated at once.
+
+    The live traps are walked in slices of :data:`WALK_SLICE`, each
+    through every phase, on ``min(cpu_slots(), slices)`` threads
+    (numpy releases the GIL inside the ufuncs).  A pool worker or a
+    service consumer holding a one-slot share walks on its own thread.
+    """
     total = lane.tau_e.size
     k_e = 1.0 / lane.tau_e
     fast = k_e * phase_s >= FAST_TRAP_EXPONENT
@@ -267,40 +279,58 @@ def _lane_shifts_vector(lane: _TrapLane, duty: np.ndarray,
     owner_l = lane.owner[idx_live]
     tc_l = lane.tau_c_eff[idx_live]
     ke_l = k_e[idx_live]
+    live = idx_live.size
+    marks = {phase: mark for mark, phase in enumerate(checkpoints)}
+    prob_at = np.empty((len(checkpoints), live))
+
+    def walk(lo: int, hi: int) -> None:
+        owner, tc, ke = owner_l[lo:hi], tc_l[lo:hi], ke_l[lo:hi]
+        prob = np.zeros(hi - lo)
+        g = np.empty(hi - lo)
+        kc = np.empty(hi - lo)
+        tot = np.empty(hi - lo)
+        pinf = np.empty(hi - lo)
+        for phase in range(duty.shape[0]):
+            # The in-place kernel sequence mirrors ac_occupancy exactly:
+            # k_c = d/tau_c; tot = k_c + k_e; P_inf = k_c/tot;
+            # decay = exp(-tot * t); P = P_inf + (P - P_inf) * decay.
+            np.take(duty[phase], owner, out=g)
+            np.divide(g, tc, out=kc)
+            np.add(kc, ke, out=tot)
+            np.divide(kc, tot, out=pinf)
+            np.negative(tot, out=tot)
+            np.multiply(tot, phase_s, out=tot)
+            np.exp(tot, out=tot)
+            np.subtract(prob, pinf, out=prob)
+            np.multiply(prob, tot, out=prob)
+            np.add(prob, pinf, out=prob)
+            mark = marks.get(phase + 1)
+            if mark is not None:
+                prob_at[mark, lo:hi] = prob
+
+    slices = [(lo, min(lo + WALK_SLICE, live))
+              for lo in range(0, live, WALK_SLICE)]
+    threads = min(cpu_slots(), len(slices))
+    if threads <= 1:
+        for lo, hi in slices:
+            walk(lo, hi)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            for future in [pool.submit(walk, lo, hi) for lo, hi in slices]:
+                future.result()
+
     owner_f = lane.owner[idx_fast]
     tc_f = lane.tau_c_eff[idx_fast]
     ke_f = k_e[idx_fast]
-
-    prob_l = np.zeros(idx_live.size)
-    g = np.empty(idx_live.size)
-    kc = np.empty(idx_live.size)
-    tot = np.empty(idx_live.size)
-    pinf = np.empty(idx_live.size)
     prob_full = np.zeros(total)
     shifts: List[np.ndarray] = []
-    marks = set(checkpoints)
-    for phase in range(duty.shape[0]):
-        row = duty[phase]
-        # The in-place kernel sequence mirrors ac_occupancy exactly:
-        # k_c = d/tau_c; tot = k_c + k_e; P_inf = k_c/tot;
-        # decay = exp(-tot * t); P = P_inf + (P - P_inf) * decay.
-        np.take(row, owner_l, out=g)
-        np.divide(g, tc_l, out=kc)
-        np.add(kc, ke_l, out=tot)
-        np.divide(kc, tot, out=pinf)
-        np.negative(tot, out=tot)
-        np.multiply(tot, phase_s, out=tot)
-        np.exp(tot, out=tot)
-        np.subtract(prob_l, pinf, out=prob_l)
-        np.multiply(prob_l, tot, out=prob_l)
-        np.add(prob_l, pinf, out=prob_l)
-        if phase + 1 in marks:
-            kc_f = row[owner_f] / tc_f
-            prob_full[idx_live] = prob_l
-            prob_full[idx_fast] = kc_f / (kc_f + ke_f)
-            contrib = np.where(lane.u_occ < prob_full, lane.eta, 0.0)
-            shifts.append(np.bincount(lane.owner, weights=contrib,
-                                      minlength=size))
+    for mark, phase in enumerate(checkpoints):
+        kc_f = duty[phase - 1][owner_f] / tc_f
+        prob_full[idx_live] = prob_at[mark]
+        prob_full[idx_fast] = kc_f / (kc_f + ke_f)
+        contrib = np.where(lane.u_occ < prob_full, lane.eta, 0.0)
+        shifts.append(np.bincount(lane.owner, weights=contrib,
+                                  minlength=size))
     return shifts
 
 

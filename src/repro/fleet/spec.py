@@ -28,10 +28,10 @@ result-invariant).
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Any, Dict, Mapping, Sequence, Tuple
 
 from ..constants import ZERO_CELSIUS
+from ..validation import finite_real, require_finite, require_int
 from ..workloads import paper_workload
 
 #: Seconds per (Julian) year — the trace-phase time base.
@@ -59,10 +59,9 @@ def _weighted_pairs(pairs: Sequence[Sequence[Any]],
         if len(pair) != 2:
             raise ValueError(f"{what} entries must be (value, weight)")
         value, weight = pair
-        weight = float(weight)
-        if not math.isfinite(weight) or weight < 0.0:
-            raise ValueError(
-                f"{what} weights must be finite and non-negative")
+        weight = finite_real(weight, f"{what} weight")
+        if weight < 0.0:
+            raise ValueError(f"{what} weights must be non-negative")
         out.append((value, weight))
     if not out or sum(w for _, w in out) <= 0.0:
         raise ValueError(f"{what} profile needs positive total weight")
@@ -72,9 +71,8 @@ def _weighted_pairs(pairs: Sequence[Sequence[Any]],
 def _corner_pairs(pairs: Sequence[Sequence[Any]], what: str,
                   floor: float) -> Tuple[Tuple[float, float], ...]:
     """A weighted profile of finite corner values above ``floor``."""
-    out = tuple((float(v), w) for v, w in _weighted_pairs(pairs, what))
-    if not all(math.isfinite(v) for v, _ in out):
-        raise ValueError(f"{what} values must be finite")
+    out = tuple((finite_real(v, what), w)
+                for v, w in _weighted_pairs(pairs, what))
     if not all(v > floor for v, _ in out):
         raise ValueError(f"{what} values must be above {floor:g}")
     return out
@@ -118,14 +116,13 @@ class MitigationPolicy:
     def __post_init__(self) -> None:
         if self.scheme not in ("nssa", "issa"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        require_finite(self, "residual_imbalance",
+                       "rejuvenation_interval_years", "guardband_trim")
+        require_int(self, "rejuvenation_phases")
         if not 0.0 <= self.residual_imbalance <= 1.0:
             raise ValueError("residual imbalance must be within [0, 1]")
-        if not (math.isfinite(self.rejuvenation_interval_years)
-                and self.rejuvenation_interval_years >= 0.0):
-            raise ValueError("rejuvenation interval must be finite and "
-                             ">= 0")
-        if self.rejuvenation_phases < 1:
-            raise ValueError("rejuvenation must span >= 1 phase")
+        if self.rejuvenation_interval_years < 0.0:
+            raise ValueError("rejuvenation interval must be >= 0")
         if not 0.0 <= self.guardband_trim < 1.0:
             raise ValueError("guardband trim must be within [0, 1)")
         if not self.name:
@@ -200,26 +197,20 @@ class FleetSpec:
     swing_mv: float = 90.0
 
     def __post_init__(self) -> None:
-        if self.n_devices < 1:
-            raise ValueError("fleet needs at least one device")
-        if self.block_size < 1:
-            raise ValueError("block size must be positive")
-        if self.phases_per_year < 1:
-            raise ValueError("need at least one phase per year")
-        if self.reads_per_phase < 1:
-            raise ValueError("need at least one read per phase")
-        if not (math.isfinite(self.swing_mv) and self.swing_mv > 0.0):
-            raise ValueError("provisioned swing must be finite and "
-                             "positive")
+        require_int(self, "n_devices", "block_size", "phases_per_year",
+                    "reads_per_phase")
+        require_int(self, "seed", minimum=0)
+        require_finite(self, "swing_mv")
+        if self.swing_mv <= 0.0:
+            raise ValueError("provisioned swing must be positive")
         if not self.years:
             raise ValueError("need at least one checkpoint year")
-        years = tuple(float(y) for y in self.years)
+        years = tuple(finite_real(y, "checkpoint year") for y in self.years)
         if sorted(years) != list(years) or len(set(years)) != len(years):
             raise ValueError("checkpoint years must be strictly increasing")
         for year in years:
-            if not (math.isfinite(year) and year > 0.0):
-                raise ValueError("checkpoint years must be finite and "
-                                 "positive")
+            if year <= 0.0:
+                raise ValueError("checkpoint years must be positive")
             phases = year * self.phases_per_year
             if abs(phases - round(phases)) > 1e-9:
                 raise ValueError(

@@ -31,8 +31,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from typing import Any, Dict, Optional, Tuple, Union
+
+from ..validation import require_finite, require_int
 
 #: Job lifecycle states.
 PENDING = "pending"
@@ -46,28 +47,6 @@ TERMINAL = (DONE, FAILED, CANCELLED)
 
 #: Every valid state (for validation at the API boundary).
 STATES = (PENDING, RUNNING, DONE, FAILED, CANCELLED)
-
-
-def _require_finite(request: Any, *names: str) -> None:
-    """Raise ``ValueError`` if a set float field is NaN or infinite."""
-    for name in names:
-        value = getattr(request, name)
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-
-
-def _require_positive_int(request: Any, *names: str) -> None:
-    """Raise ``ValueError`` if a set field is not a positive integer.
-
-    Booleans are refused although ``bool`` subclasses ``int``.
-    """
-    for name in names:
-        value = getattr(request, name)
-        if value is not None and (isinstance(value, bool)
-                                  or not isinstance(value, int)
-                                  or value < 1):
-            raise ValueError(
-                f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -102,13 +81,13 @@ class JobRequest:
 
     def validate(self) -> None:
         """Raise ``ValueError`` for any field the worker cannot honour."""
-        _require_finite(self, "time_s", "temp_c", "vdd", "dt", "timeout_s")
+        require_finite(self, "time_s", "temp_c", "vdd", "dt", "timeout_s")
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
         from ..core.offset import MAX_ITERATIONS
         if self.mc is None or self.offset_iterations is None:
             raise ValueError("mc and offset_iterations must be set")
-        _require_positive_int(self, "mc", "offset_iterations", "chunk_size")
+        require_int(self, "mc", "offset_iterations", "chunk_size")
         if self.offset_iterations > MAX_ITERATIONS:
             raise ValueError(
                 f"offset_iterations must be at most {MAX_ITERATIONS}")
@@ -256,8 +235,8 @@ class EngineRequest:
         Returns ``(spec, items)`` so the executor validates and
         constructs in one step.
         """
-        _require_finite(self, "timeout_s")
-        _require_positive_int(self, "chunk_size", "workers")
+        require_finite(self, "timeout_s")
+        require_int(self, "chunk_size", "workers")
         return self._parse()
 
     def _physics(self) -> Dict[str, Any]:

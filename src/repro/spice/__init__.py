@@ -6,7 +6,6 @@ numpy-vectorised modified-nodal-analysis simulator:
 * :class:`~repro.spice.netlist.Circuit` — netlist container,
 * :class:`~repro.spice.mna.MnaSystem` — compiled system (batched over a
   Monte-Carlo axis),
-* :func:`~repro.spice.dcop.dc_operating_point` — DC solution,
 * :func:`~repro.spice.transient.run_transient` — fixed-step transient,
 * :mod:`~repro.spice.measure` — crossing/delay measurements,
 * :mod:`~repro.spice.waveforms` — DC / step / pulse / PWL sources.
@@ -16,7 +15,6 @@ from .netlist import Circuit, Resistor, Capacitor, VSource, ISource, Mosfet
 from .waveforms import Dc, Step, Pulse, Pwl, Waveform
 from .mna import MnaSystem, GMIN_DEFAULT
 from .solver import NewtonOptions, ConvergenceError, newton_solve
-from .dcop import dc_operating_point
 from .transient import run_transient, TransientResult, DecisionSpec
 from .measure import crossing_time, delay_between, final_sign, settles_to
 from .subckt import SubCircuit, instantiate
@@ -26,7 +24,6 @@ __all__ = [
     "Dc", "Step", "Pulse", "Pwl", "Waveform",
     "MnaSystem", "GMIN_DEFAULT",
     "NewtonOptions", "ConvergenceError", "newton_solve",
-    "dc_operating_point",
     "run_transient", "TransientResult", "DecisionSpec",
     "crossing_time", "delay_between", "final_sign", "settles_to",
     "SubCircuit", "instantiate",

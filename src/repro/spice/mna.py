@@ -459,12 +459,6 @@ class MnaSystem:
             v_full[:, self._dev_source], v_full[:, self._dev_bulk],
             shifts, self._devices)
 
-    # -- convenience -----------------------------------------------------
-
-    def voltages_of(self, v_full: np.ndarray, node: str) -> np.ndarray:
-        """Slice a node's voltages out of a full vector."""
-        return v_full[:, self._index_of(node)]
-
     def __repr__(self) -> str:
         return (f"MnaSystem({self.circuit.name!r}, nodes={self.n_nodes - 1}, "
                 f"unknown={len(self.unknown_idx)}, batch={self.batch_size}, "

@@ -1,6 +1,7 @@
 """Tests for the persistent content-addressed result cache."""
 
 import dataclasses
+import json
 import pathlib
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
@@ -146,6 +147,41 @@ class TestRoundTrip:
                      offset_iterations=6, cache=cache)
         assert cache.stats()["entries"] == 2
         assert a.offset.offsets.size != b.offset.offsets.size
+
+
+class TestDocEntries:
+    """JSON document entries are checksummed: a damaged one is a miss."""
+
+    DOC = {"years": [{"year": 1.0, "fraction_out": 0.0123456789,
+                      "n": 4096}], "policy": "issa"}
+
+    def stored(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = cache.key_for_doc({"kind": "fleet", "spec": {"n": 1}})
+        cache.store_doc(key, self.DOC)
+        return cache, key, cache._doc_path(key)
+
+    def test_round_trip(self, tmp_path):
+        cache, key, _ = self.stored(tmp_path)
+        PERF.reset()
+        assert cache.load_doc(key) == self.DOC
+        assert PERF.snapshot()["counters"]["cache.hits"] == 1
+
+    @pytest.mark.parametrize("damage", [
+        lambda blob: blob.replace(b"0.0123456789", b"0.0123456788"),
+        lambda blob: blob[:len(blob) // 2],
+        lambda blob: json.dumps(TestDocEntries.DOC).encode(),
+    ], ids=["flipped-digit", "truncated", "no-checksum"])
+    def test_damaged_entry_is_a_miss(self, tmp_path, damage):
+        cache, key, path = self.stored(tmp_path)
+        blob = path.read_bytes()
+        path.write_bytes(damage(blob))
+        assert path.read_bytes() != blob
+        PERF.reset()
+        assert cache.load_doc(key) is None
+        counters = PERF.snapshot()["counters"]
+        assert counters["cache.misses"] == 1
+        assert "cache.hits" not in counters
 
 
 class TestKeyForCell:

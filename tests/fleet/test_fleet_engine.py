@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from repro.aging.occupancy import ac_occupancy
-from repro.fleet import FleetEngine, FleetSpec, MitigationPolicy
+from repro.core.parallel import run_tasks, worker_share
+from repro.fleet import FleetEngine, FleetSpec, MitigationPolicy, sampling
 from repro.fleet.sampling import (FAST_TRAP_EXPONENT, _lane_shifts_vector,
-                                  block_draws)
+                                  block_draws, evaluate_block)
+from repro.spice.backends import compiled
 
 
 #: Small fleet the bitwise-invariance tests share (one year, short
@@ -19,6 +21,54 @@ SMALL = FleetSpec(n_devices=384, block_size=64, years=(1.0,),
 
 NSSA = MitigationPolicy(scheme="nssa")
 ISSA = MitigationPolicy(scheme="issa")
+
+#: Three checkpoints over two blocks with the default mixed corners,
+#: for the engine-level walk-layout checks.
+LAYOUT = FleetSpec(n_devices=256, block_size=128, years=(0.5, 1.0, 2.0),
+                   phases_per_year=4, reads_per_phase=64)
+
+#: ``(policy, WALK_SLICE, thread CPU slots)`` of the walk-vs-chain
+#: check; ``None`` keeps the module's slice and the process's slots.
+WALK_CASES = [pytest.param(policy, None, None, id=name)
+              for policy, name in ((NSSA, "nssa"), (ISSA, "issa"))] + [
+    pytest.param(policy, walk_slice, slots,
+                 id=f"{name}-slice{walk_slice or 'default'}-slots{slots}")
+    for policy, name in ((NSSA, "nssa"), (ISSA, "issa"))
+    for walk_slice in (1, 7, None)
+    for slots in (1, 2, 3)]
+
+
+@pytest.fixture
+def walk_layout(monkeypatch):
+    """Set the walk's slice size and this thread's CPU slots.
+
+    ``None`` leaves either as it is; the slots are reset afterwards.
+    """
+    def apply(walk_slice, slots):
+        if walk_slice is not None:
+            monkeypatch.setattr(sampling, "WALK_SLICE", walk_slice)
+        compiled.set_thread_cpu_slots(slots)
+    yield apply
+    compiled.set_thread_cpu_slots(None)
+
+
+def walk_threads_in_worker(spec, policy):
+    """Pool-worker task: this process's CPU slots, and the most threads
+    one of block 0's trap walks ran on (1 when it walked inline)."""
+    widths = [1]
+
+    class Recording(sampling.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    walker, walk_slice = sampling.ThreadPoolExecutor, sampling.WALK_SLICE
+    sampling.ThreadPoolExecutor, sampling.WALK_SLICE = Recording, 7
+    try:
+        evaluate_block(spec, policy, 0)
+    finally:
+        sampling.ThreadPoolExecutor, sampling.WALK_SLICE = walker, walk_slice
+    return compiled.cpu_slots(), max(widths)
 
 
 def lane_shifts_per_device(lane, duty, phase_s, checkpoints, size):
@@ -121,8 +171,10 @@ class TestInvariance:
         assert serial.compare([NSSA, ISSA]) \
             == pooled.compare([NSSA, ISSA])
 
-    @pytest.mark.parametrize("policy", [NSSA, ISSA], ids=["nssa", "issa"])
-    def test_vector_walk_matches_per_device_chain(self, policy):
+    @pytest.mark.parametrize("policy, walk_slice, slots", WALK_CASES)
+    def test_vector_walk_matches_per_device_chain(self, policy, walk_slice,
+                                                  slots, walk_layout):
+        walk_layout(walk_slice, slots)
         spec = FleetSpec(n_devices=64, block_size=64, years=(0.5, 1.0),
                          phases_per_year=4, reads_per_phase=64)
         draws = block_draws(spec, policy, 0)
@@ -141,6 +193,35 @@ class TestInvariance:
             assert all(np.count_nonzero(v) > 1 for v in vector)
             for got, want in zip(vector, chained):
                 assert got.tobytes() == want.tobytes()
+
+    def test_compare_invariant_to_walk_slices_and_threads(
+            self, walk_layout):
+        reference = FleetEngine(LAYOUT, workers=1).compare([NSSA, ISSA])
+        for walk_slice in (7, 1000, None):
+            for slots in (1, 2, 3):
+                walk_layout(walk_slice, slots)
+                engine = FleetEngine(LAYOUT, workers=1)
+                assert engine.compare([NSSA, ISSA]) == reference, \
+                    (walk_slice, slots)
+        walk_layout(None, None)
+        pooled = FleetEngine(LAYOUT, workers=2, chunk_size=128)
+        assert pooled.compare([NSSA, ISSA]) == reference
+
+    def test_one_slot_share_walks_inline(self, walk_layout, monkeypatch):
+        """A service consumer holding one CPU slot starts no threads."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("walk threads on a one-slot share")
+
+        walk_layout(7, 1)
+        monkeypatch.setattr(sampling, "ThreadPoolExecutor", refuse)
+        evaluate_block(LAYOUT, NSSA, 0)
+
+    def test_pool_workers_walk_on_their_share(self):
+        """Each ``run_tasks`` worker walks on ``worker_share`` threads."""
+        share = worker_share(2)
+        results = run_tasks(walk_threads_in_worker,
+                            [(LAYOUT, NSSA), (LAYOUT, ISSA)], workers=2)
+        assert results == [(share, share)] * 2
 
     def test_summaries_name_the_vector_walk(self):
         summary = FleetEngine(SMALL, workers=1).evaluate(NSSA)

@@ -1,24 +1,13 @@
-"""Tests for the Newton solver and DC operating-point analysis."""
+"""Tests for the batched Newton solver."""
 
 import numpy as np
 import pytest
 
-from repro.models import NMOS_45HP, PMOS_45HP
-from repro.spice.dcop import dc_operating_point
 from repro.spice.mna import MnaSystem
 from repro.spice.netlist import Circuit
 from repro.spice.solver import (ConvergenceError, NewtonOptions,
                                 newton_solve)
 from repro.spice.waveforms import Dc
-
-
-def inverter(vin: float) -> MnaSystem:
-    c = Circuit("inv")
-    c.add_vsource("vdd", "vdd", Dc(1.0))
-    c.add_vsource("vin", "in", Dc(vin))
-    c.add_mosfet("mp", "out", "in", "vdd", "vdd", PMOS_45HP, 5.0)
-    c.add_mosfet("mn", "out", "in", "0", "0", NMOS_45HP, 2.5)
-    return MnaSystem(c, 298.15)
 
 
 class TestNewtonSolve:
@@ -56,65 +45,3 @@ class TestNewtonSolve:
         options = NewtonOptions(vtol=1e-9, max_step=0.1, max_iter=200)
         assert options.vtol == 1e-9
 
-
-class TestDcOperatingPoint:
-    def test_resistive_divider(self):
-        c = Circuit()
-        c.add_vsource("v", "in", Dc(2.0))
-        c.add_resistor("r1", "in", "mid", 1e3)
-        c.add_resistor("r2", "mid", "0", 3e3)
-        system = MnaSystem(c, 300.0)
-        v = dc_operating_point(system)
-        assert system.voltages_of(v, "mid")[0] == pytest.approx(1.5,
-                                                                rel=1e-4)
-
-    def test_inverter_rails(self):
-        low = inverter(0.0)
-        v = dc_operating_point(low)
-        assert low.voltages_of(v, "out")[0] == pytest.approx(1.0, abs=1e-3)
-        high = inverter(1.0)
-        v = dc_operating_point(high)
-        assert high.voltages_of(v, "out")[0] == pytest.approx(0.0, abs=1e-3)
-
-    def test_inverter_transfer_monotone(self):
-        outputs = []
-        for vin in np.linspace(0.0, 1.0, 9):
-            system = inverter(float(vin))
-            v = dc_operating_point(system)
-            outputs.append(float(system.voltages_of(v, "out")[0]))
-        assert all(a >= b - 1e-6 for a, b in zip(outputs, outputs[1:]))
-
-    def test_latch_bistability(self):
-        """A cross-coupled inverter pair holds the state the IC selects."""
-        c = Circuit("latch")
-        c.add_vsource("vdd", "vdd", Dc(1.0))
-        for a, b, tag in (("q", "qb", "1"), ("qb", "q", "2")):
-            c.add_mosfet(f"mp{tag}", a, b, "vdd", "vdd", PMOS_45HP, 5.0)
-            c.add_mosfet(f"mn{tag}", a, b, "0", "0", NMOS_45HP, 2.5)
-        system = MnaSystem(c, 298.15)
-        v_one = dc_operating_point(system, initial={"q": 1.0, "qb": 0.0})
-        assert system.voltages_of(v_one, "q")[0] > 0.9
-        assert system.voltages_of(v_one, "qb")[0] < 0.1
-        v_zero = dc_operating_point(system, initial={"q": 0.0, "qb": 1.0})
-        assert system.voltages_of(v_zero, "q")[0] < 0.1
-
-    def test_diode_connected_device(self):
-        c = Circuit()
-        c.add_vsource("vdd", "vdd", Dc(1.0))
-        c.add_resistor("r", "vdd", "d", 10e3)
-        c.add_mosfet("m", "d", "d", "0", "0", NMOS_45HP, 5.0)
-        system = MnaSystem(c, 298.15)
-        v = dc_operating_point(system)
-        vd = system.voltages_of(v, "d")[0]
-        # Diode voltage sits somewhat above Vth but far below Vdd.
-        assert 0.3 < vd < 0.8
-
-    def test_batched_dcop(self):
-        c = Circuit()
-        c.add_vsource("v", "in", Dc(np.array([1.0, 2.0])))
-        c.add_resistor("r1", "in", "mid", 1e3)
-        c.add_resistor("r2", "mid", "0", 1e3)
-        system = MnaSystem(c, 300.0, batch_size=2)
-        v = dc_operating_point(system)
-        np.testing.assert_allclose(system.voltages_of(v, "mid"),
-                                   [0.5, 1.0], rtol=1e-4)
