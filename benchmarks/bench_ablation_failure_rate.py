@@ -16,9 +16,9 @@ RATES = (1e-6, 1e-9, 1e-12)
 
 
 def build_ablation():
-    fresh = cached_cell("nssa", None, 0.0)
-    nssa = cached_cell("nssa", "80r0", 1e8, 125.0)
-    issa = cached_cell("issa", "80r0", 1e8, 125.0)
+    fresh = cached_cell(("nssa", None, 0.0, 25.0, 1.0))
+    nssa = cached_cell(("nssa", "80r0", 1e8, 125.0, 1.0))
+    issa = cached_cell(("issa", "80r0", 1e8, 125.0, 1.0))
     rows = []
     for fr in RATES:
         spec_fresh = fresh.offset.spec_at(fr) * 1e3

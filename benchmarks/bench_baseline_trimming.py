@@ -26,10 +26,10 @@ SCHEME = TrimScheme(step_v=0.004, range_v=0.048)
 
 
 def build_comparison():
-    nssa_fresh = cached_cell("nssa", None, 0.0, 125.0)
-    nssa_aged = cached_cell("nssa", "80r0", 1e8, 125.0)
-    issa_fresh = cached_cell("issa", None, 0.0, 125.0)
-    issa_aged = cached_cell("issa", "80r0", 1e8, 125.0)
+    nssa_fresh = cached_cell(("nssa", None, 0.0, 125.0, 1.0))
+    nssa_aged = cached_cell(("nssa", "80r0", 1e8, 125.0, 1.0))
+    issa_fresh = cached_cell(("issa", None, 0.0, 125.0, 1.0))
+    issa_aged = cached_cell(("issa", "80r0", 1e8, 125.0, 1.0))
 
     rows = [
         ("NSSA untrimmed, fresh", nssa_fresh.spec_mv),

@@ -15,8 +15,9 @@ from .conftest import cached_cell, write_artifact
 
 def build_fig4():
     bars = []
-    for scheme, workload, time_s in ROWS:
-        result = cached_cell(scheme, workload, time_s)
+    for spec in ROWS:
+        scheme, _, time_s, _, _ = spec
+        result = cached_cell(spec)
         label = (f"{scheme.upper()} t={time_s:.0e} "
                  f"{result.cell.workload_label}")
         bars.append(DistributionBar(label, result.mu_mv,

@@ -11,10 +11,11 @@ from .conftest import cached_cell, write_artifact
 
 def build_fig5():
     bars = []
-    for scheme, workload, time_s, vdd in ROWS:
+    for spec in ROWS:
+        scheme, _, time_s, _, vdd = spec
         if time_s == 0.0:
             continue  # the figure shows the aged distributions
-        result = cached_cell(scheme, workload, time_s, 25.0, vdd)
+        result = cached_cell(spec)
         label = (f"{scheme.upper()} {result.cell.workload_label} "
                  f"{'+' if vdd > 1.0 else '-'}10%Vdd")
         bars.append(DistributionBar(label, result.mu_mv,

@@ -11,10 +11,11 @@ from .conftest import cached_cell, write_artifact
 
 def build_fig6():
     bars = []
-    for scheme, workload, time_s, temp_c in ROWS:
+    for spec in ROWS:
+        scheme, _, time_s, temp_c, _ = spec
         if time_s == 0.0:
             continue
-        result = cached_cell(scheme, workload, time_s, temp_c, 1.0)
+        result = cached_cell(spec)
         label = (f"{scheme.upper()} {result.cell.workload_label} "
                  f"{temp_c:.0f}C")
         bars.append(DistributionBar(label, result.mu_mv,

@@ -23,8 +23,8 @@ from .conftest import cached_cell, write_artifact
 def build_overheads():
     org = MemoryOrganisation(counter_bits=8, columns_per_control=128)
     # Aged 125 C characterisation feeds the latency model.
-    nssa = cached_cell("nssa", "80r0", 1e8, 125.0)
-    issa = cached_cell("issa", "80r0", 1e8, 125.0)
+    nssa = cached_cell(("nssa", "80r0", 1e8, 125.0, 1.0))
+    issa = cached_cell(("issa", "80r0", 1e8, 125.0, 1.0))
     gain = latency_gain(nssa.spec_mv * 1e-3, nssa.delay_ps * 1e-12,
                         issa.spec_mv * 1e-3, issa.delay_ps * 1e-12)
     return {
@@ -32,9 +32,9 @@ def build_overheads():
         "energy_overhead": issa_energy_overhead_per_read(org),
         "control_transistors": control_logic_transistors(org),
         "counter_toggles_per_read": counter_toggles_per_read(8),
-        "delay_overhead_fresh": (cached_cell("issa", None, 0.0).delay_ps
-                                 / cached_cell("nssa", None,
-                                               0.0).delay_ps - 1.0),
+        "delay_overhead_fresh": (
+            cached_cell(("issa", None, 0.0, 25.0, 1.0)).delay_ps
+            / cached_cell(("nssa", None, 0.0, 25.0, 1.0)).delay_ps - 1.0),
         "latency_gain_125C": gain,
         "nssa_read_ps": read_latency(nssa.spec_mv * 1e-3,
                                      nssa.delay_ps * 1e-12).total_ps,

@@ -7,33 +7,17 @@ paper-vs-measured table.
 
 from __future__ import annotations
 
-from repro.analysis.reference import TABLE2, lookup
 from repro.analysis.tables import comparison_row, render_comparison
+from repro.core.paper import GRIDS, paper_row
 
 from .conftest import cached_cell, write_artifact
 
-#: (scheme, workload name or None, stress time)
-ROWS = (
-    ("nssa", None, 0.0),
-    ("nssa", "80r0r1", 1e8),
-    ("nssa", "80r0", 1e8),
-    ("nssa", "80r1", 1e8),
-    ("nssa", "20r0r1", 1e8),
-    ("nssa", "20r0", 1e8),
-    ("nssa", "20r1", 1e8),
-    ("issa", None, 0.0),
-    ("issa", "80r0", 1e8),
-    ("issa", "20r0", 1e8),
-)
+ROWS = GRIDS["2"]
 
 
 def build_table2():
-    results = []
-    for scheme, workload, time_s in ROWS:
-        result = cached_cell(scheme, workload, time_s)
-        paper = lookup(TABLE2, scheme, time_s, result.cell.workload_label)
-        results.append((result, paper))
-    return results
+    return [(result, paper_row("2", result.cell))
+            for result in map(cached_cell, ROWS)]
 
 
 def test_table2_workload(benchmark):

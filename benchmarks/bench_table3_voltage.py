@@ -2,33 +2,17 @@
 
 from __future__ import annotations
 
-from repro.analysis.reference import TABLE3, lookup
 from repro.analysis.tables import comparison_row, render_comparison
+from repro.core.paper import GRIDS, paper_row
 
 from .conftest import cached_cell, write_artifact
 
-ROWS = tuple(
-    (scheme, workload, time_s, vdd)
-    for vdd in (0.9, 1.1)
-    for scheme, workload, time_s in (
-        ("nssa", None, 0.0),
-        ("nssa", "80r0r1", 1e8),
-        ("nssa", "80r0", 1e8),
-        ("nssa", "80r1", 1e8),
-        ("issa", None, 0.0),
-        ("issa", "80r0", 1e8),
-    )
-)
+ROWS = GRIDS["3"]
 
 
 def build_table3():
-    results = []
-    for scheme, workload, time_s, vdd in ROWS:
-        result = cached_cell(scheme, workload, time_s, 25.0, vdd)
-        paper = lookup(TABLE3, scheme, time_s,
-                       result.cell.workload_label, (25.0, vdd))
-        results.append((result, paper))
-    return results
+    return [(result, paper_row("3", result.cell))
+            for result in map(cached_cell, ROWS)]
 
 
 def test_table3_voltage(benchmark):

@@ -2,33 +2,17 @@
 
 from __future__ import annotations
 
-from repro.analysis.reference import TABLE4, lookup
 from repro.analysis.tables import comparison_row, render_comparison
+from repro.core.paper import GRIDS, paper_row
 
 from .conftest import cached_cell, write_artifact
 
-ROWS = tuple(
-    (scheme, workload, time_s, temp_c)
-    for temp_c in (75.0, 125.0)
-    for scheme, workload, time_s in (
-        ("nssa", None, 0.0),
-        ("nssa", "80r0r1", 1e8),
-        ("nssa", "80r0", 1e8),
-        ("nssa", "80r1", 1e8),
-        ("issa", None, 0.0),
-        ("issa", "80r0", 1e8),
-    )
-)
+ROWS = GRIDS["4"]
 
 
 def build_table4():
-    results = []
-    for scheme, workload, time_s, temp_c in ROWS:
-        result = cached_cell(scheme, workload, time_s, temp_c, 1.0)
-        paper = lookup(TABLE4, scheme, time_s,
-                       result.cell.workload_label, (temp_c, 1.0))
-        results.append((result, paper))
-    return results
+    return [(result, paper_row("4", result.cell))
+            for result in map(cached_cell, ROWS)]
 
 
 def test_table4_temperature(benchmark):

@@ -19,15 +19,15 @@ from __future__ import annotations
 
 import os
 import pathlib
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 import pytest
 
 from repro.circuits.sense_amp import ReadTiming
-from repro.core.experiment import CellResult, ExperimentCell, run_cell
+from repro.core.experiment import CellResult, run_cell
 from repro.core.montecarlo import McSettings
+from repro.core.paper import GridSpec, grid_cell
 from repro.models import Environment, MismatchModel
-from repro.workloads import paper_workload
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -38,22 +38,17 @@ TIMING = ReadTiming(dt=1e-12 if FAST else 0.5e-12)
 
 SETTINGS = McSettings(size=MC_SIZE, seed=2017, mismatch=MismatchModel())
 
-_CELL_CACHE: Dict[Tuple, CellResult] = {}
+_CELL_CACHE: Dict[GridSpec, CellResult] = {}
 
 
-def cached_cell(scheme: str, workload_name: Optional[str], time_s: float,
-                temperature_c: float = 25.0,
-                vdd: float = 1.0) -> CellResult:
-    """Run (or fetch) one experiment cell at the benchmark settings."""
-    key = (scheme, workload_name, time_s, temperature_c, vdd)
-    if key not in _CELL_CACHE:
-        workload = paper_workload(workload_name) if workload_name else None
-        cell = ExperimentCell(scheme, workload, time_s,
-                              Environment.from_celsius(temperature_c, vdd))
-        _CELL_CACHE[key] = run_cell(cell, settings=SETTINGS,
-                                    timing=TIMING,
-                                    offset_iterations=OFFSET_ITERATIONS)
-    return _CELL_CACHE[key]
+def cached_cell(spec: GridSpec) -> CellResult:
+    """Run (or fetch) one grid cell (``core.paper.GridSpec``) at the
+    benchmark settings."""
+    if spec not in _CELL_CACHE:
+        _CELL_CACHE[spec] = run_cell(grid_cell(spec), settings=SETTINGS,
+                                     timing=TIMING,
+                                     offset_iterations=OFFSET_ITERATIONS)
+    return _CELL_CACHE[spec]
 
 
 def write_artifact(name: str, text: str) -> pathlib.Path:

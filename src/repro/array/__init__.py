@@ -10,9 +10,8 @@ promotes the single-SA pipeline to read-path/bank granularity:
   same JSON wire format discipline as ``fleet.spec``.
 - :mod:`.sampling` — spawn-keyed per-column draw lanes.  Mismatch is
   keyed per (column, device *name*) so the shared latch devices receive
-  identical draws under NSSA and ISSA (common random numbers), and any
-  column's draws are bit-identical whether sampled standalone or inside
-  a flattened ``column_array`` netlist.
+  identical draws under NSSA and ISSA (common random numbers), and a
+  column's draws depend only on its key, not on the column fan-out.
 - :mod:`.characterizer` — one column's offset/delay characterisation
   with geometry-derived bitline loading injected onto the SA inputs.
 - :mod:`.engine` — ``ArrayEngine``: fans columns x checkpoints across
@@ -23,7 +22,7 @@ promotes the single-SA pipeline to read-path/bank granularity:
 
 from .spec import ArraySpec, ARRAY_STREAM, geometry_grid
 from .sampling import (LANE_MISMATCH, LANE_AGING, column_mismatch,
-                       column_aging, flattened_mismatch)
+                       column_aging)
 from .characterizer import (characterize_column, characterize_columns,
                             build_column_design, sense_input_load)
 from .engine import ArrayEngine
@@ -31,7 +30,6 @@ from .engine import ArrayEngine
 __all__ = [
     "ArraySpec", "ARRAY_STREAM", "geometry_grid",
     "LANE_MISMATCH", "LANE_AGING", "column_mismatch", "column_aging",
-    "flattened_mismatch",
     "characterize_column", "characterize_columns", "build_column_design",
     "sense_input_load",
     "ArrayEngine",

@@ -13,11 +13,6 @@ column, ...)``, never from a shared sequential stream.  Consequences:
   devices the two schemes share therefore receive identical time-zero
   populations, and an ISSA-vs-NSSA spec difference is a treatment
   effect, not sampling noise.
-- **Flattening invariance.**  A column inside a flattened
-  ``circuits.column_array`` netlist carries the same device names
-  behind an ``Xcol{i}.`` instance prefix; stripping the prefix
-  recovers the standalone keys, so flattened draws are bit-identical
-  to per-column draws (pinned by ``tests/array/test_sampling.py``).
 """
 
 from __future__ import annotations
@@ -86,24 +81,3 @@ def column_aging(design: SenseAmpDesign, workload: Optional[str],
     return age_circuit(design.circuit, default_aging_model(), duties,
                        time_s, env, mc, rng)
 
-
-def flattened_mismatch(array, mc: int, seed: int,
-                       mismatch: MismatchModel = MismatchModel(),
-                       ) -> Dict[str, np.ndarray]:
-    """Mismatch population for a flattened ``ColumnArray`` netlist.
-
-    Strips each device's ``Xcol{i}.`` instance prefix to recover the
-    standalone per-column spawn keys — bit-identical by construction to
-    ``column_mismatch`` on each column's template devices.
-    """
-    ratios = array.circuit.mosfet_ratios()
-    out: Dict[str, np.ndarray] = {}
-    for index, column in enumerate(array.columns):
-        prefix = f"X{column}."
-        local = {name[len(prefix):]: ratio
-                 for name, ratio in ratios.items()
-                 if name.startswith(prefix)}
-        draws = column_mismatch(local, mc, seed, index, mismatch)
-        for name, values in draws.items():
-            out[prefix + name] = values
-    return out

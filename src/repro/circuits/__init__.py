@@ -9,8 +9,6 @@ from .double_tail import (build_double_tail, build_double_tail_switching,
                           double_tail_read, double_tail_duties)
 from .readpath import (build_read_path, simulate_read, ReadPathTiming,
                        ReadPathResult, BITLINE_CAP)
-from .column_array import (ColumnArray, build_sa_column_array,
-                           issa_column_template)
 
 __all__ = [
     "SenseAmpDesign", "build_nssa", "build_issa", "ReadTiming",
@@ -22,5 +20,4 @@ __all__ = [
     "double_tail_read", "double_tail_duties",
     "build_read_path", "simulate_read", "ReadPathTiming",
     "ReadPathResult", "BITLINE_CAP",
-    "ColumnArray", "build_sa_column_array", "issa_column_template",
 ]

@@ -34,9 +34,6 @@ from .guardband import (WorstCase, GuardbandReport, worst_case_spec,
 from .paper import run_grid, grid_cells, shape_deviations, GridRow, \
     TABLE2_GRID, TABLE3_GRID, TABLE4_GRID
 from .parallel import run_cells, default_workers
-from .metastability import (RegenerationFit, measure_regeneration_tau,
-                            resolution_failure_probability,
-                            window_for_failure_target)
 from .trimming import (TrimScheme, trimmed_offsets, trimmed_spec,
                        quantisation_floor_spec, compare_trimming,
                        TrimmingComparison)
@@ -62,8 +59,6 @@ __all__ = [
     "run_grid", "grid_cells", "shape_deviations", "GridRow",
     "TABLE2_GRID", "TABLE3_GRID", "TABLE4_GRID",
     "run_cells", "default_workers",
-    "RegenerationFit", "measure_regeneration_tau",
-    "resolution_failure_probability", "window_for_failure_target",
     "TrimScheme", "trimmed_offsets", "trimmed_spec",
     "quantisation_floor_spec", "compare_trimming", "TrimmingComparison",
 ]

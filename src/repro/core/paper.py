@@ -2,9 +2,8 @@
 
 One place defining exactly which (scheme, workload, time, corner)
 cells each table/figure contains, plus runners that execute a grid and
-return paper-vs-measured rows.  The CLI and ad-hoc scripts build on
-this; the benchmarks keep their own copies so each benchmark file is
-self-describing.
+return paper-vs-measured rows.  The CLI, the paper benchmarks under
+``benchmarks/`` and the golden tests all take their cells from here.
 """
 
 from __future__ import annotations
@@ -69,17 +68,26 @@ class GridRow:
         return (r.mu_mv, r.sigma_mv, r.spec_mv, r.delay_ps)
 
 
+def grid_cell(spec: GridSpec) -> ExperimentCell:
+    """The :class:`ExperimentCell` of one grid entry."""
+    scheme, workload_name, time_s, temp_c, vdd = spec
+    workload = paper_workload(workload_name) if workload_name else None
+    return ExperimentCell(scheme, workload, time_s,
+                          Environment.from_celsius(temp_c, vdd))
+
+
 def grid_cells(which: str) -> List[ExperimentCell]:
     """The :class:`ExperimentCell` list of one paper table's grid."""
     if which not in GRIDS:
         raise ValueError(f"unknown table {which!r}; choose 2, 3 or 4")
-    cells = []
-    for scheme, workload_name, time_s, temp_c, vdd in GRIDS[which]:
-        workload = paper_workload(workload_name) if workload_name \
-            else None
-        cells.append(ExperimentCell(scheme, workload, time_s,
-                                    Environment.from_celsius(temp_c, vdd)))
-    return cells
+    return [grid_cell(spec) for spec in GRIDS[which]]
+
+
+def paper_row(which: str, cell: ExperimentCell) -> Optional[RowValue]:
+    """The paper's row of table ``which`` for ``cell``, if tabulated."""
+    return lookup(REFERENCES[which], cell.scheme, cell.time_s,
+                  cell.workload_label,
+                  (cell.env.temperature_c, cell.env.vdd))
 
 
 def run_grid(which: str,
@@ -127,19 +135,13 @@ def run_grid(which: str,
 
     settings = settings or default_mc_settings()
     cells = grid_cells(which)
-    reference = REFERENCES[which]
     results = run_cells(cells, settings=settings, timing=timing,
                         offset_iterations=offset_iterations,
                         chunk_size=chunk_size, cache=cache,
                         estimator=estimator, backend=backend,
                         workers=workers, progress=progress)
-    rows: List[GridRow] = []
-    for cell, result in zip(cells, results):
-        paper = lookup(reference, cell.scheme, cell.time_s,
-                       cell.workload_label,
-                       (cell.env.temperature_c, cell.env.vdd))
-        rows.append(GridRow(result=result, paper=paper))
-    return rows
+    return [GridRow(result=result, paper=paper_row(which, cell))
+            for cell, result in zip(cells, results)]
 
 
 def shape_deviations(rows: Sequence[GridRow],

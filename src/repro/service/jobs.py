@@ -85,9 +85,15 @@ class JobRequest:
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
         from ..core.offset import MAX_ITERATIONS
-        if self.mc is None or self.offset_iterations is None:
-            raise ValueError("mc and offset_iterations must be set")
+        if self.mc is None or self.offset_iterations is None \
+                or self.seed is None:
+            raise ValueError("mc, offset_iterations and seed must be set")
         require_int(self, "mc", "offset_iterations", "chunk_size")
+        require_int(self, "seed", minimum=0)
+        if self.workload is not None and not isinstance(self.workload,
+                                                        str):
+            raise ValueError(
+                f"workload must be a name, got {self.workload!r}")
         if self.offset_iterations > MAX_ITERATIONS:
             raise ValueError(
                 f"offset_iterations must be at most {MAX_ITERATIONS}")

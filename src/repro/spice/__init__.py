@@ -17,7 +17,6 @@ from .mna import MnaSystem, GMIN_DEFAULT
 from .solver import NewtonOptions, ConvergenceError, newton_solve
 from .transient import run_transient, TransientResult, DecisionSpec
 from .measure import crossing_time, delay_between, final_sign, settles_to
-from .subckt import SubCircuit, instantiate
 
 __all__ = [
     "Circuit", "Resistor", "Capacitor", "VSource", "ISource", "Mosfet",
@@ -26,5 +25,4 @@ __all__ = [
     "NewtonOptions", "ConvergenceError", "newton_solve",
     "run_transient", "TransientResult", "DecisionSpec",
     "crossing_time", "delay_between", "final_sign", "settles_to",
-    "SubCircuit", "instantiate",
 ]

@@ -41,8 +41,9 @@ vector lanes and a scalar remainder loop).  A glibc without the
 vector symbols (vector ``log1p``/``tanh`` arrived in 2.35) fails the
 ``RTLD_NOW`` load, and the ladder builds the scalar flag set.  The
 ``compiled`` backend additionally self-checks the produced kernel
-against the fused-numpy kernel on first use, falling back permanently
-in the process if the results disagree (see ``compiled.py``).
+against the reference numpy kernel on first use, falling back
+permanently in the process if the results disagree (see
+``compiled.py``).
 """
 
 from __future__ import annotations

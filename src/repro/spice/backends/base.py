@@ -16,11 +16,12 @@ Two backends ship:
     :func:`repro.spice.solver.newton_solve`.  This is the bitwise
     reference every other backend is measured against.
 ``compiled``
-    Fused per-step kernels (device evaluation + reduced assembly +
-    dense solve in one pass) — a runtime-compiled C kernel (with a
-    fused whole-transient loop) where a C compiler is available, and a
-    fused pure-numpy kernel everywhere else.  See
-    :mod:`repro.spice.backends.compiled`.
+    A runtime-compiled C kernel (device evaluation + reduced assembly +
+    dense solve in one pass, with a fused whole-transient loop) where a
+    C compiler is available, and the ``numpy`` reference kernel
+    everywhere else — bit for bit the ``numpy`` backend there, at its
+    speed (a 400-MC Table-II cell: ~1.3 s on one CPU against ~0.3 s
+    through C).  See :mod:`repro.spice.backends.compiled`.
 
 Backends are identified in the persistent result cache by
 :meth:`SolverBackend.cache_token` (backend name + kernel version), so

@@ -4,39 +4,43 @@ One :meth:`CompiledBackend.step_kernel` call binds a system + step
 configuration to a kernel that performs the *entire* per-step Newton
 solve — EKV device evaluation, reduced residual/Jacobian assembly,
 dense solve, damped update and per-sample convergence masking — in one
-pass over the :class:`~repro.spice.backends.maps.ReducedKernelMaps`
+C call over the :class:`~repro.spice.backends.maps.ReducedKernelMaps`
 operators, instead of the reference path's ~15 python-level dispatches
 per Newton iteration.
 
-Two kernel *flavors* share those maps.  The flavor is derived, not
-configured: ``cc`` when :func:`repro.spice.backends._cc.load_kernel`
-returns a library and the first-use self-check passes, ``numpy``
-otherwise.
+The backend has two kernels, and which one runs is derived, not
+configured (``describe()["flavor"]`` names it):
 
 ``cc``
-    The kernel compiled from C at runtime and driven through ctypes
-    (:mod:`repro.spice.backends._cc`) — used when a C compiler is on
-    PATH.  It also has the *fused transient*: the whole backward-Euler
-    time loop in one C call (:meth:`CcStepKernel.run_transient`), its
-    samples split across CPU threads.
+    :class:`CcStepKernel`, compiled from C at runtime and driven
+    through ctypes (:mod:`repro.spice.backends._cc`) — used when
+    :func:`~repro.spice.backends._cc.load_kernel` returns a library,
+    i.e. a C compiler is on PATH.  It also has the *fused transient*:
+    the whole backward-Euler time loop in one C call
+    (:meth:`CcStepKernel.run_transient`), its samples split across CPU
+    threads.
 ``numpy``
-    A fused pure-numpy kernel (one matmul for all model arguments, ~45
-    in-place ufuncs for the device algebra, constant-folded scatter
-    matmuls) — always available; also the reference the ``cc`` kernel
-    is self-checked against.
+    The reference :class:`~repro.spice.backends.numpy_backend.
+    NumpyStepKernel` — used with no cc library, after a failed
+    self-check, and for systems out of the cc kernel's contract
+    (device-less, no unknowns, more than ``_cc.MAX_NU`` unknowns);
+    each such kernel counts ``spice.backend.fallback_steps``.  Results
+    are then the ``numpy`` backend's bit for bit, delays included, at
+    the reference's speed: a 400-MC Table-II cell takes about 1.3 s on
+    one CPU against 0.3 s through ``cc`` (2-vCPU AVX-512 Xeon host).
 
 **Safety**: the first solve through the ``cc`` kernel in each process is
-replayed on the fused-numpy kernel and compared; a disagreement beyond
-Newton tolerance permanently demotes the process to the numpy flavor
+replayed on the reference kernel and compared; a disagreement beyond
+Newton tolerance permanently demotes the process to the reference
 (and counts ``spice.backend.selfcheck_failures``).  Until that check
 has passed, transients run the stepped Python loop; only afterwards do
 ``cc`` transients go fused.  The stepped loop over the per-step ``cc``
 kernel and the fused loop perform the same floating-point operations
 (the step constant is formed in C in both), so a result never depends
-on whether it came from the process's first transient.  Kernels are
-cached on the system object keyed by ``(flavor, dt, batch, options)``,
-so the long-lived testbench systems pay the map/workspace construction
-once (``spice.backend.jit_cache_hits`` counts reuse).
+on whether it came from the process's first transient.  ``cc`` kernels
+are cached on the system object keyed by ``(backend, dt, batch,
+options)``, so the long-lived testbench systems pay the map/workspace
+construction once (``spice.backend.jit_cache_hits`` counts reuse).
 
 **Threads**: a fused transient runs on ``min(cpu_slots(),
 ceil(active / MIN_SAMPLES_PER_THREAD))`` threads.  :func:`cpu_slots` is
@@ -46,12 +50,9 @@ plain process, ``worker_share(pool size)`` in a ``run_cells`` /
 service consumer thread.  Per-sample results are bitwise invariant to
 the thread count and to batch packing.
 
-Offsets produced through this backend are bit-identical to the
+Offsets produced through the ``cc`` kernel are bit-identical to the
 ``numpy`` backend (the sign decisions the bisection consumes are ulp-
-robust); raw trajectories agree to solver tolerance.  Anything the
-fused kernels do not cover exactly — device-less or oversized
-systems — silently uses the reference kernel
-(``spice.backend.fallback_steps``).
+robust); raw trajectories, and so delays, agree to solver tolerance.
 """
 
 from __future__ import annotations
@@ -64,8 +65,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ...analysis.perf import PERF
-from ..solver import (ConvergenceError, NewtonOptions, _gufunc_solve,
-                      _regularised_solve)
+from ..solver import ConvergenceError, NewtonOptions
 from .base import SolverBackend, StepKernel
 from .maps import ReducedKernelMaps
 from .numpy_backend import NumpyStepKernel
@@ -141,188 +141,12 @@ def _reset_flavor_cache() -> None:
     _CC_FLAGS = None
 
 
-class _FusedStepBase(StepKernel):
-    """Shared state of the fused kernels."""
-
-    def __init__(self, maps: ReducedKernelMaps, system, batch: int,
-                 options: NewtonOptions) -> None:
-        self.maps = maps
-        self.system = weakref.proxy(system)  # cached on it: no cycle
-        self.batch = batch
-        self.options = options
-
-
-class FusedNumpyKernel(_FusedStepBase):
-    """Fused step kernel in pure numpy (flavor ``numpy``).
-
-    The Newton loop mirrors ``solver._reduced_newton`` (same gather/
-    scatter structure, same clip/convergence order, same LAPACK gufunc
-    solve with per-member regularisation fallback); the residual/
-    Jacobian evaluation is the fused maps pipeline instead of
-    ``_ReducedStepper``.
-    """
-
-    flavor = "numpy"
-
-    def __init__(self, maps, system, batch, options) -> None:
-        super().__init__(maps, system, batch, options)
-        self.step_const = np.empty((batch, maps.nu))
-        self._bufs = {}
-
-    def begin_step(self, t_new: float, v_prev: np.ndarray) -> None:
-        maps = self.maps
-        np.matmul(v_prev, maps.CdtT_u, out=self.step_const)
-        if self.system._isources:
-            self.step_const += maps.isource_table(np.array([t_new]))[0]
-
-    def _buffers(self, ba: int) -> dict:
-        bufs = self._bufs.get(ba)
-        if bufs is None:
-            nd, nu = self.maps.nd, self.maps.nu
-            bufs = dict(
-                arg=np.empty((4 * nd, ba)),
-                e=np.empty((3 * nd, ba)), sp=np.empty((3 * nd, ba)),
-                lg=np.empty((3 * nd, ba)), alt=np.empty((3 * nd, ba)),
-                mask=np.empty((3 * nd, ba), dtype=bool),
-                f2=np.empty((2 * nd, ba)), df=np.empty((2 * nd, ba)),
-                core=np.empty((nd, ba)), degr=np.empty((nd, ba)),
-                th=np.empty((nd, ba)), clm=np.empty((nd, ba)),
-                dclm=np.empty((nd, ba)), pre=np.empty((nd, ba)),
-                q=np.empty((nd, ba)), t2=np.empty((nd, ba)),
-                cd=np.empty((nd, ba)), idT=np.empty((nd, ba)),
-                st=np.empty((3 * nd, ba)),
-                rhs=np.empty((ba, nu)), fdev=np.empty((ba, nu)),
-                jac=np.empty((ba, nu * nu)), sc=np.empty((ba, nu)),
-            )
-            self._bufs[ba] = bufs
-        return bufs
-
-    def _eval(self, v, active_idx, everyone):
-        """Negated residual + Jacobian on the unknown block, in place."""
-        maps = self.maps
-        nd = maps.nd
-        ba = v.shape[0]
-        w = self._buffers(ba)
-        carg = maps.vth_carg()
-        if not everyone and carg.shape[1] != 1:
-            carg = carg[:, active_idx]
-        arg = w["arg"]
-        np.matmul(maps.M, v.T, out=arg)
-        arg[:3 * nd] += carg[:3 * nd]
-        sl = arg[:3 * nd]
-        e, sp, lg, alt, mask = w["e"], w["sp"], w["lg"], w["alt"], w["mask"]
-        np.abs(sl, out=e)
-        np.negative(e, out=e)
-        np.exp(e, out=e)
-        np.log1p(e, out=sp)
-        np.maximum(sl, 0.0, out=alt)
-        np.add(sp, alt, out=sp)
-        np.add(e, 1.0, out=lg)
-        np.reciprocal(lg, out=lg)
-        np.multiply(e, lg, out=alt)
-        np.signbit(sl, out=mask)
-        np.copyto(lg, alt, where=mask)
-        sp2 = sp[:2 * nd]
-        lg_o = lg[2 * nd:]
-        f2 = np.multiply(sp2, sp2, out=w["f2"])
-        core = np.subtract(f2[:nd], f2[nd:], out=w["core"])
-        degr = np.multiply(maps.theta_nphit, sp[2 * nd:], out=w["degr"])
-        np.add(1.0, degr, out=degr)
-        xt = arg[3 * nd:]
-        th = np.maximum(xt, -maps.scal[1], out=w["th"])
-        np.minimum(th, maps.scal[1], out=th)
-        np.tanh(th, out=th)
-        clm = np.multiply(xt, th, out=w["clm"])
-        np.multiply(clm, maps.lam2phit, out=clm)
-        np.add(1.0, clm, out=clm)
-        dclm = np.multiply(th, th, out=w["dclm"])
-        np.subtract(1.0, dclm, out=dclm)
-        np.multiply(dclm, xt, out=dclm)
-        np.add(dclm, th, out=dclm)
-        np.multiply(dclm, maps.lam, out=dclm)
-        idT = np.multiply(core, clm, out=w["idT"])
-        np.divide(idT, degr, out=idT)
-        df = np.multiply(sp2, lg[:2 * nd], out=w["df"])
-        pre = np.divide(clm, degr, out=w["pre"])
-        np.multiply(pre, maps.inv_phit, out=pre)
-        q = np.multiply(core, lg_o, out=w["q"])
-        np.multiply(q, maps.thetaphit, out=q)
-        np.divide(q, degr, out=q)
-        st = w["st"]
-        gm, gd, gs = st[:nd], st[nd:2 * nd], st[2 * nd:]
-        t2 = np.subtract(df[:nd], df[nd:], out=w["t2"])
-        np.multiply(t2, maps.inv_n, out=t2)
-        np.subtract(t2, q, out=t2)
-        np.multiply(t2, pre, out=gm)
-        cd = np.multiply(core, dclm, out=w["cd"])
-        np.divide(cd, degr, out=cd)
-        np.multiply(df[nd:], pre, out=gd)
-        np.add(gd, cd, out=gd)
-        np.multiply(df[:nd], pre, out=gs)
-        np.add(gs, cd, out=gs)
-        rhs = np.matmul(v, maps.negAT_u, out=w["rhs"])
-        if everyone:
-            rhs += self.step_const
-        else:
-            rhs += self.step_const.take(active_idx, axis=0, out=w["sc"])
-        rhs += np.matmul(idT.T, maps.negFs_u, out=w["fdev"])
-        jac = np.matmul(st.T, maps.Juu, out=w["jac"])
-        jac += maps.A_uu_flat
-        return rhs, jac.reshape(ba, maps.nu, maps.nu)
-
-    def solve(self, v_new: np.ndarray, active_idx: np.ndarray) -> int:
-        options = self.options
-        u = self.maps.u
-        batch_full = v_new.shape[0]
-        initial = active_idx.size
-        iterations = 0
-        sample_iterations = 0
-        saved = 0
-        per_sample = None
-        try:
-            for iteration in range(1, options.max_iter + 1):
-                everyone = active_idx.size == batch_full
-                rows = v_new if everyone else v_new[active_idx]
-                rhs, jac = self._eval(rows, active_idx, everyone)
-                try:
-                    delta = _gufunc_solve(jac, rhs)
-                except np.linalg.LinAlgError:
-                    delta = _regularised_solve(jac, rhs,
-                                               options.regularisation)
-                np.minimum(delta, options.max_step, out=delta)
-                np.maximum(delta, -options.max_step, out=delta)
-                if everyone:
-                    v_new[:, u] += delta
-                else:
-                    v_new[active_idx[:, None], u[None, :]] += delta
-                iterations += 1
-                sample_iterations += active_idx.size
-                saved += initial - active_idx.size
-                np.abs(delta, out=delta)
-                per_sample = delta.max(axis=-1)
-                unconverged = per_sample >= options.vtol
-                if not unconverged.any():
-                    return iteration
-                active_idx = active_idx[unconverged]
-        finally:
-            PERF.count("newton.solves")
-            PERF.count("newton.iterations", iterations)
-            PERF.count("newton.sample_iterations", sample_iterations)
-            PERF.count("newton.sample_iterations_saved", saved)
-            PERF.count("spice.backend.fused_steps")
-            PERF.count("spice.backend.fused_iterations", iterations)
-        worst = float(per_sample.max())
-        raise ConvergenceError(
-            f"Newton-Raphson did not converge in {options.max_iter} "
-            f"iterations (last max step {worst:.3e} V)")
-
-
 #: Raw outcome of one fused transient (see CcStepKernel.run_transient).
 FusedRun = collections.namedtuple(
     "FusedRun", "steps hist probes decided sample_steps iterations")
 
 
-class CcStepKernel(_FusedStepBase):
+class CcStepKernel(StepKernel):
     """The runtime-compiled C step kernel (flavor ``cc``).
 
     :meth:`solve` runs one step's whole Newton loop in C, step constant
@@ -332,10 +156,11 @@ class CcStepKernel(_FusedStepBase):
     call.
     """
 
-    flavor = "cc"
-
-    def __init__(self, maps, system, batch, options, lib) -> None:
-        super().__init__(maps, system, batch, options)
+    def __init__(self, maps: ReducedKernelMaps, system, batch: int,
+                 options: NewtonOptions, lib) -> None:
+        self.maps = maps
+        self.system = weakref.proxy(system)  # cached on it: no cycle
+        self.options = options
         self._fn = lib.newton_step
         self._transient = lib.transient_be
         nd, nu, n = maps.nd, maps.nu, maps.n
@@ -494,10 +319,10 @@ class _SelfCheckKernel(StepKernel):
     """First-use validation wrapper around the ``cc`` kernel.
 
     The first solve routed through this wrapper is replayed on the
-    fused-numpy reference; agreement within Newton tolerance unlocks
-    the fast kernel for the rest of the process, disagreement demotes
-    the whole process to the numpy flavor and answers with the
-    reference result.
+    reference :class:`NumpyStepKernel`; agreement within Newton
+    tolerance unlocks the fast kernel for the rest of the process,
+    disagreement demotes the whole process to the reference kernel and
+    answers with the reference result.
     """
 
     #: Agreement threshold [V]; generous vs any vtol in use (1e-8..1e-7)
@@ -505,15 +330,15 @@ class _SelfCheckKernel(StepKernel):
     ATOL = 1e-6
 
     def __init__(self, fast: CcStepKernel,
-                 reference: FusedNumpyKernel) -> None:
+                 reference: NumpyStepKernel) -> None:
         self._fast = fast
         self._reference = reference
         self._mode = "check"
 
-    @property
-    def flavor(self) -> str:
-        kern = self._reference if self._mode == "fallback" else self._fast
-        return kern.flavor
+    def _go_fast(self) -> None:
+        # The reference keeps the last previous state it was given.
+        self._mode = "fast"
+        self._reference = None
 
     def fused_transient(self):
         # Stepped (and so checked) until the process's check passed.
@@ -532,7 +357,7 @@ class _SelfCheckKernel(StepKernel):
         if self._mode == "fallback":
             return self._reference.solve(v_new, active_idx)
         if _SELFCHECK == "ok":
-            self._mode = "fast"
+            self._go_fast()
             return self._fast.solve(v_new, active_idx)
         if _SELFCHECK == "failed":
             self._mode = "fallback"
@@ -542,7 +367,7 @@ class _SelfCheckKernel(StepKernel):
         iterations = self._fast.solve(v_new, active_idx)
         if np.allclose(v_new, reference_v, rtol=0.0, atol=self.ATOL):
             _SELFCHECK = "ok"
-            self._mode = "fast"
+            self._go_fast()
             return iterations
         _SELFCHECK = "failed"
         PERF.count("spice.backend.selfcheck_failures")
@@ -552,7 +377,7 @@ class _SelfCheckKernel(StepKernel):
 
 
 class CompiledBackend(SolverBackend):
-    """Fused-kernel backend: the ``cc`` kernel, else fused numpy."""
+    """Fused-kernel backend: the ``cc`` kernel, else the reference."""
 
     name = "compiled"
     kernel_version = KERNEL_VERSION
@@ -576,31 +401,29 @@ class CompiledBackend(SolverBackend):
     def step_kernel(self, system, c_over_dt: np.ndarray, dt: float,
                     batch: int, options: NewtonOptions) -> StepKernel:
         devices = getattr(system, "_devices", None)
-        if (devices is None or devices.polarity.shape[0] == 0
-                or system.unknown_idx.size == 0):
-            # Out of the fused kernels' contract — use the reference
-            # kernel so semantics (and bits) are exactly the numpy
-            # backend's.
+        lib = None
+        if (devices is not None and devices.polarity.shape[0]
+                and 0 < system.unknown_idx.size <= _cc.MAX_NU
+                and _SELFCHECK != "failed"):
+            lib = _resolve_flavor()[1]
+        if lib is None:
+            # No cc kernel (no library, a failed self-check, or a system
+            # out of its contract): the reference kernel, so results are
+            # exactly the numpy backend's, delays included.
             PERF.count("spice.backend.fallback_steps")
             return NumpyStepKernel(system, c_over_dt, batch, options)
-        flavor, fn = _resolve_flavor()
-        if _SELFCHECK == "failed" or system.unknown_idx.size > _cc.MAX_NU:
-            flavor, fn = "numpy", None
         cache = system.__dict__.setdefault("_backend_step_kernels", {})
-        key = (self.name, flavor, float(dt), int(batch), options)
+        key = (self.name, float(dt), int(batch), options)
         kernel = cache.get(key)
         if kernel is not None:
             PERF.count("spice.backend.jit_cache_hits")
             return kernel
         maps = ReducedKernelMaps(system, c_over_dt, options)
-        if flavor == "numpy":
-            kernel = FusedNumpyKernel(maps, system, batch, options)
-        else:
-            fast = CcStepKernel(maps, system, batch, options, fn)
-            if _SELFCHECK is None:
-                kernel = _SelfCheckKernel(
-                    fast, FusedNumpyKernel(maps, system, batch, options))
-            else:
-                kernel = fast
+        kernel = CcStepKernel(maps, system, batch, options, lib)
+        if _SELFCHECK is None:
+            # Built on the kernel's weak proxy: the wrapper is cached on
+            # the system, and the reference holds its system strongly.
+            kernel = _SelfCheckKernel(kernel, NumpyStepKernel(
+                kernel.system, c_over_dt, batch, options))
         cache[key] = kernel
         return kernel

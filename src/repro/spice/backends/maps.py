@@ -1,4 +1,4 @@
-"""Compile-time operator maps shared by the fused step kernels.
+"""Compile-time operator maps of the ``cc`` step kernel.
 
 The reduced assembly (:meth:`repro.spice.mna.MnaSystem.
 reduced_residual_jacobian`) evaluates the EKV device model on gathered
@@ -15,22 +15,18 @@ one matrix:
   Vth-dependent constant column :meth:`ReducedKernelMaps.vth_carg`;
 * the device prefactors (``pol * i_spec`` into the residual scatter,
   ``+-i_spec`` into the stamp scatter) fold into the scatter matrices
-  once (:attr:`negFs_u`, :attr:`Juu`), so the kernels assemble the
+  once (:attr:`negFs_u`, :attr:`Juu`), so the kernel assembles the
   *negated* reduced residual (the Newton right-hand side) directly;
+  it reads them in sparse index/coefficient form (:attr:`fs_idx` /
+  :attr:`js_idx`) because its inner loops skip structural zeros;
 * the backward-Euler constant ``-(G + C/dt) v - C/dt v_prev`` splits
-  into a per-step constant (:attr:`Cdt_u` for the C kernel, which
-  forms it with a fixed loop order; :attr:`CdtT_u` for the
-  fused-numpy kernel's ``begin_step`` matmul) and a per-iteration
-  matmul row block (:attr:`negA_u`); current sources enter the step
-  constant through :meth:`isource_table`.
-
-Both the fused-numpy kernel and the C kernel consume the same
-instance; the C kernel additionally uses the sparse index/coefficient
-form of the scatters (:attr:`fs_idx` / :attr:`js_idx`) because its
-inner loops skip structural zeros.
+  into a per-step constant (:attr:`Cdt_u`, formed in C with a fixed
+  loop order) and a per-iteration matmul row block (:attr:`negA_u`);
+  current sources enter the step constant through
+  :meth:`isource_table`.
 
 The maps reproduce the reference pipeline's *algebra*, not its exact
-operation order — offsets extracted through these kernels are bitwise
+operation order — offsets extracted through the kernel are bitwise
 identical to the ``numpy`` backend (pinned by tests and the benchmark),
 while raw trajectories agree to a few ulp.
 """
@@ -64,11 +60,8 @@ class ReducedKernelMaps:
 
         A = system.g_static + c_over_dt
         self.negA_u = np.ascontiguousarray(-A[u, :])
-        self.negAT_u = np.ascontiguousarray(self.negA_u.T)
         self.Cdt_u = np.ascontiguousarray(c_over_dt[u, :])
-        self.CdtT_u = np.ascontiguousarray(self.Cdt_u.T)
         self.A_uu = np.ascontiguousarray(A[np.ix_(u, u)])
-        self.A_uu_flat = np.ascontiguousarray(self.A_uu.ravel())
 
         # Args matmul: rows [arg_f | arg_r | arg_o | x_t], linear in v.
         M = np.zeros((4 * nd, n))
@@ -128,16 +121,10 @@ class ReducedKernelMaps:
             self.js_coef[r, :nz.size] = self.Juu[r, nz]
 
         # Per-device constants: [theta*phit | theta*n*phit | 1/n |
-        # lambda | lambda*2*phit], one row each for the C kernel,
-        # and batch-last column views for the fused-numpy kernel.
+        # lambda | lambda*2*phit], one row each.
         self.dev_c = np.ascontiguousarray(np.stack([
             dev.theta * phit, dev.theta * nn * phit, 1.0 / nn,
             dev.lambda_clm, dev.lambda_clm * 2.0 * phit]))
-        self.thetaphit = self.dev_c[0][:, None]
-        self.theta_nphit = self.dev_c[1][:, None]
-        self.inv_n = self.dev_c[2][:, None]
-        self.lam = self.dev_c[3][:, None]
-        self.lam2phit = self.dev_c[4][:, None]
         # Scalar pack: [1/phit, exp clip, vtol, max_step, regularisation].
         self.scal = np.array([self.inv_phit, _EXP_CLIP, options.vtol,
                               options.max_step, options.regularisation])

@@ -1,25 +1,11 @@
-"""Spawn-keyed column draws: CRN, flattening parity, independence.
-
-The satellite regression: an *m*-column ``column_array``
-characterisation must be bit-identical to *m* independent single-SA
-runs — the per-column mismatch independence the ``column_array``
-module docstring promises.
-"""
-
-import dataclasses
+"""Spawn-keyed column draws: determinism, CRN, column independence."""
 
 import numpy as np
 import pytest
 
-from repro.array.sampling import (column_aging, column_mismatch,
-                                  flattened_mismatch)
-from repro.circuits.column_array import build_sa_column_array
-from repro.circuits.sense_amp import ReadTiming, build_issa, build_nssa
+from repro.array.sampling import column_aging, column_mismatch
+from repro.circuits.sense_amp import build_issa, build_nssa
 from repro.models import Environment
-from repro.spice.measure import final_sign
-from repro.spice.mna import MnaSystem
-from repro.spice.transient import run_transient
-from repro.spice.waveforms import Dc, Step
 
 MC = 8
 SEED = 2017
@@ -78,77 +64,3 @@ class TestColumnAging:
         assert any(not np.array_equal(col0[n], col1[n])
                    for n in stressed)
 
-
-class TestFlatteningParity:
-    """m-column array draws == m independent single-SA draws."""
-
-    def test_flattened_draws_bit_identical_to_standalone(self):
-        array = build_sa_column_array(3)
-        flattened = flattened_mismatch(array, MC, SEED)
-        for index, column in enumerate(array.columns):
-            prefix = f"X{column}."
-            local = {name[len(prefix):]: ratio
-                     for name, ratio
-                     in array.circuit.mosfet_ratios().items()
-                     if name.startswith(prefix)}
-            standalone = column_mismatch(local, MC, SEED, index)
-            for name, draws in standalone.items():
-                assert np.array_equal(flattened[prefix + name], draws)
-
-    def test_flattened_matches_issa_template_devices(self):
-        """Each array column carries the single-SA ISSA device set, so
-        standalone-ISSA draws transfer name for name."""
-        array = build_sa_column_array(2)
-        issa_ratios = build_issa().circuit.mosfet_ratios()
-        flattened = flattened_mismatch(array, MC, SEED)
-        for index, column in enumerate(array.columns):
-            standalone = column_mismatch(issa_ratios, MC, SEED, index)
-            for name, draws in standalone.items():
-                assert np.array_equal(flattened[f"X{column}.{name}"],
-                                      draws)
-
-    def test_flattened_columns_resolve_independently(self):
-        """The flattened netlist accepts the prefixed populations and
-        each column still resolves its own differential."""
-        array = build_sa_column_array(2)
-        circuit = array.circuit
-        timing = ReadTiming(dt=1e-12)
-        vdd = 1.0
-        by_node = {v.node: i for i, v in enumerate(circuit.vsources)}
-
-        def set_wave(node, wave):
-            circuit.vsources[by_node[node]] = dataclasses.replace(
-                circuit.vsources[by_node[node]], waveform=wave)
-
-        enable = Step(0.0, vdd, timing.t_develop, timing.t_rise)
-        set_wave("saen", enable)
-        set_wave("saenbar", Step(vdd, 0.0, timing.t_develop,
-                                 timing.t_rise))
-        set_wave("saena", enable)
-        set_wave("saenb", Dc(vdd))
-        common = vdd - 0.1
-        set_wave("bl0", Dc(common + 0.05))
-        set_wave("blbar0", Dc(common - 0.05))
-        set_wave("bl1", Dc(common - 0.05))
-        set_wave("blbar1", Dc(common + 0.05))
-
-        system = MnaSystem(circuit, 298.15, batch_size=MC)
-        system.set_vth_shifts(flattened_mismatch(array, MC, SEED))
-        initial = {}
-        for col in range(2):
-            initial[array.column_node(col, "s")] = common
-            initial[array.column_node(col, "sbar")] = common
-            initial[array.column_node(col, "top")] = vdd
-        probes = [array.column_node(0, "s"), array.column_node(0, "sbar"),
-                  array.column_node(1, "s"), array.column_node(1, "sbar")]
-        result = run_transient(system, 80e-12, timing.dt, probes=probes,
-                               initial=initial)
-        sign0 = final_sign(result.probe(probes[0])
-                           - result.probe(probes[1]))
-        sign1 = final_sign(result.probe(probes[2])
-                           - result.probe(probes[3]))
-        # 50 mV differentials dominate the mismatch draws: every
-        # sample of column 0 resolves high, every sample of column 1
-        # low, despite per-sample Vth perturbations.
-        assert np.all(sign0 == 1.0)
-        assert np.all(sign1 == -1.0)

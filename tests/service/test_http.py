@@ -221,6 +221,11 @@ MALFORMED = [
     dict(offset_iterations=0),
     dict(chunk_size=0),
     dict(timeout_s=float("nan")),
+    dict(workload=5),
+    dict(workload=[1]),
+    dict(seed=-1),
+    dict(seed=1.5),
+    dict(seed=True),
 ]
 
 

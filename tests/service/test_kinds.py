@@ -149,6 +149,24 @@ def test_non_integer_count_rejected(kind, name, value):
         dataclasses.replace(request, **{name: value}).validate()
 
 
+@pytest.mark.parametrize("value", [-1, 1.5, True, "7", None])
+def test_cell_seed_is_a_non_negative_integer(value):
+    document = dict(CASES["cell"][1], seed=value)
+    with pytest.raises(ValueError, match="seed"):
+        request_from_dict(document).validate()
+
+
+def test_cell_seed_zero_accepted():
+    request_from_dict(dict(CASES["cell"][1], seed=0)).validate()
+
+
+@pytest.mark.parametrize("value", [5, [1], {"name": "80r0"}, True, 2.5])
+def test_cell_workload_is_a_name(value):
+    document = dict(CASES["cell"][1], workload=value)
+    with pytest.raises(ValueError, match="workload"):
+        request_from_dict(document).validate()
+
+
 def test_cell_bisection_depth_bounded():
     request, _ = CASES["cell"]
     with pytest.raises(ValueError, match="at most 62"):

@@ -2,8 +2,8 @@
 
 Covers the registry and resolution rules (explicit argument, the
 ``REPRO_BACKEND`` environment variable), the compiled backend's flavor
-derivation (``cc`` when the C kernel loads, fused numpy otherwise) and
-its first-use self-check,
+derivation (``cc`` when the C kernel loads, the reference kernel
+otherwise, bit for bit the numpy backend) and its first-use self-check,
 step-kernel parity against the reference ``_ReducedStepper`` path on
 the sense amplifiers and on randomised topologies, the fused ``cc``
 transient (bitwise equal to the stepped loop over the per-step ``cc``
@@ -29,7 +29,6 @@ from repro.spice.backends import (BACKEND_ENV, available_backends,
 from repro.spice.backends import _cc
 from repro.spice.backends import compiled as compiled_mod
 from repro.spice.backends.compiled import (CcStepKernel, CompiledBackend,
-                                           FusedNumpyKernel,
                                            _reset_flavor_cache)
 from repro.spice.backends.maps import ReducedKernelMaps
 from repro.spice.backends.numpy_backend import NumpyStepKernel
@@ -154,7 +153,7 @@ class TestResolution:
 
 
 class TestFlavorLadder:
-    """``cc`` when the C kernel loads, fused numpy otherwise."""
+    """``cc`` when the C kernel loads, the reference kernel otherwise."""
 
     def test_numpy_flavor_forced(self, monkeypatch, clean_flavor):
         monkeypatch.setattr(_cc, "load_kernel", lambda: (None, 0.0, None))
@@ -163,7 +162,7 @@ class TestFlavorLadder:
         system, _ = sense_amp_system(batch=3)
         kernel = backend.step_kernel(system, system.c_matrix / 1e-12,
                                      1e-12, 3, NewtonOptions())
-        assert isinstance(kernel, FusedNumpyKernel)
+        assert isinstance(kernel, NumpyStepKernel)
 
     @needs_cc
     def test_cc_flavor(self, clean_flavor):
@@ -235,7 +234,7 @@ class TestFallbackGuards:
         system, _ = sense_amp_system(batch=3)
         kernel = backend.step_kernel(system, system.c_matrix / 1e-12,
                                      1e-12, 3, NewtonOptions())
-        assert isinstance(kernel, FusedNumpyKernel)
+        assert isinstance(kernel, NumpyStepKernel)
 
     def test_selfcheck_failure_demotes_process(self, monkeypatch,
                                                clean_flavor):
@@ -245,17 +244,15 @@ class TestFallbackGuards:
         system, _ = sense_amp_system(batch=3)
         kernel = backend.step_kernel(system, system.c_matrix / 1e-12,
                                      1e-12, 3, NewtonOptions())
-        assert isinstance(kernel, FusedNumpyKernel)
+        assert isinstance(kernel, NumpyStepKernel)
 
 
 def fused_kernels(maps, system, batch, options) -> dict:
-    """The fused kernels under test: fused numpy, and cc if it loads."""
-    kernels = {"fused-numpy": FusedNumpyKernel(maps, system, batch,
-                                               options)}
+    """The fused kernels under test: cc if it loads."""
     lib, _, _ = _cc.load_kernel()
-    if lib is not None:
-        kernels["cc"] = CcStepKernel(maps, system, batch, options, lib)
-    return kernels
+    if lib is None:
+        return {}
+    return {"cc": CcStepKernel(maps, system, batch, options, lib)}
 
 
 class TestStepKernelParity:
@@ -719,20 +716,21 @@ class TestFusedTransient:
         backend = CompiledBackend()
         system, _ = sense_amp_system(batch=3)
         PERF.reset()
-        run_transient(system, t_stop=1e-11, dt=1e-12, probes=["s"],
-                      backend=backend)
+        demoted = run_transient(system, t_stop=1e-11, dt=1e-12,
+                                probes=["s"], backend=backend)
         assert compiled_mod._SELFCHECK == "failed"
         assert PERF.snapshot()["counters"][
             "spice.backend.selfcheck_failures"] == 1
-        wrapper = backend.step_kernel(system, system.c_matrix / 1e-12,
-                                      1e-12, 3, NewtonOptions())
-        assert wrapper.flavor == "numpy"
-        assert wrapper.fused_transient() is None
-        other, _ = sense_amp_system(batch=4)
-        kernel = backend.step_kernel(other, other.c_matrix / 1e-12,
-                                     1e-12, 4, NewtonOptions())
-        assert isinstance(kernel, FusedNumpyKernel)
-        assert kernel.fused_transient() is None
+        # Every step, the checked one included, answered by the reference.
+        twin, _ = sense_amp_system(batch=3)
+        assert_results_bitwise(demoted, run_transient(
+            twin, t_stop=1e-11, dt=1e-12, probes=["s"], backend="numpy"))
+        for system, batch in ((system, 3),
+                              (sense_amp_system(batch=4)[0], 4)):
+            kernel = backend.step_kernel(system, system.c_matrix / 1e-12,
+                                         1e-12, batch, NewtonOptions())
+            assert isinstance(kernel, NumpyStepKernel)
+            assert kernel.fused_transient() is None
 
 
 class TestCpuSlots:

@@ -42,6 +42,8 @@ from repro.core.rare_event import EstimatorConfig
 from repro.core.paper import grid_cells
 from repro.fleet.engine import FleetEngine
 from repro.fleet.spec import FleetSpec, MitigationPolicy
+from repro.spice.backends import _cc, backend_host_info
+from repro.spice.backends.compiled import _reset_flavor_cache
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 TABLE2 = GOLDEN / "table2_mc16.json"
@@ -209,6 +211,28 @@ def test_table2_cell(table2, index):
 def test_table2_cell_numpy_backend(table2, index):
     result = run_table2_cell(index, backend="numpy")
     assert_cell_matches(cell_record(index, result), table2[index])
+
+
+@pytest.fixture()
+def no_compiler(monkeypatch):
+    """A process in which the C kernel does not load."""
+    monkeypatch.setattr(_cc, "load_kernel", lambda: (None, 0.0, None))
+    _reset_flavor_cache()
+    yield
+    _reset_flavor_cache()
+
+
+@pytest.mark.parametrize("index", NUMPY_CELLS)
+def test_table2_cell_without_compiler(no_compiler, index):
+    """With no C kernel the compiled backend is the numpy backend bit
+    for bit, delays included."""
+    compiled = cell_record(index, run_table2_cell(index,
+                                                  backend="compiled"))
+    assert backend_host_info("compiled")["flavor"] == "numpy"
+    reference = cell_record(index, run_table2_cell(index, backend="numpy"))
+    # JSON writes each float's shortest round-trip repr: equal text is
+    # equal bits.
+    assert json.dumps(compiled) == json.dumps(reference)
 
 
 def test_bank_document():
