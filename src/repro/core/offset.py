@@ -42,9 +42,10 @@ MAX_ITERATIONS = 62
 #: bisected over the full range and fit the offset predictor.
 PILOT = 48
 
-#: Guided-search bracket: every predicted sample is bisected inside a
-#: ``2**WINDOW_BITS``-cell bracket of the bisection grid.
-WINDOW_BITS = 6
+#: Shallowest search that takes the guided path.  On a 2-step grid of
+#: 4 cells the gallop saves no read and the pilot costs ~1 % more
+#: sample-steps; from 3 steps on it saves 15 % and more.
+GUIDED_MIN_ITERATIONS = 3
 
 #: Spawn-key lane of the normal-fit bootstrap (fit-path ``spec_ci``).
 _FIT_BOOT_STREAM = 0x0F17
@@ -180,8 +181,8 @@ class _Grid:
     Bisecting ``[-search_range, +search_range]`` for ``iterations``
     steps visits the points of a ``2**iterations``-cell grid.  The
     search runs on grid *indices*; :meth:`point` turns an index into the
-    exact value plain bisection computes for it, so a bracket may start
-    at any grid point and still read bit-identical inputs.
+    exact value plain bisection computes for it, so a search may read
+    the grid points in any order and still read bit-identical inputs.
     """
 
     search_range: float
@@ -229,31 +230,6 @@ class _Grid:
             sample_mask=mask) > 0
 
 
-def _bisect(grid: _Grid, bench: SenseAmpTestbench, lo: np.ndarray,
-            hi: np.ndarray, steps: int,
-            active: Optional[np.ndarray] = None) -> np.ndarray:
-    """Bisect grid indices ``[lo, hi]`` for ``steps`` batched reads.
-
-    Each read tests the index midpoint at its exact grid value and keeps
-    the half whose ends disagree.  With ``hi - lo == 2**steps`` the
-    final bracket is the flip cell of every active sample whose bracket
-    ends disagree; returns its midpoint, the flip threshold [V].
-    """
-    # From brackets that are nodes of the bisection tree (the full range
-    # is one) halving the end values is plain bisection's own
-    # arithmetic; from any other bracket each midpoint is replayed.
-    tree = bool(np.all(lo % (hi - lo) == 0))
-    v_lo, v_hi = grid.point(lo), grid.point(hi)
-    for _ in range(steps):
-        PERF.count("offset.bisection_iterations")
-        mid = (lo + hi) // 2
-        v_mid = 0.5 * (v_lo + v_hi) if tree else grid.point(mid)
-        rises = grid.rises(bench, v_mid, active)
-        hi, v_hi = np.where(rises, mid, hi), np.where(rises, v_mid, v_hi)
-        lo, v_lo = np.where(rises, lo, mid), np.where(rises, v_lo, v_mid)
-    return 0.5 * (v_lo + v_hi)
-
-
 def _sub_bench(testbench: SenseAmpTestbench,
                index: np.ndarray) -> SenseAmpTestbench:
     """A fresh testbench over the samples ``index`` of ``testbench``."""
@@ -272,11 +248,57 @@ def _sub_bench(testbench: SenseAmpTestbench,
 
 def _full_range(grid: _Grid, bench: SenseAmpTestbench,
                 active: Optional[np.ndarray] = None) -> np.ndarray:
-    """Plain bisection over the whole search range."""
-    batch = bench.batch_size
-    return _bisect(grid, bench, np.zeros(batch, dtype=np.int64),
-                   np.full(batch, grid.cells, dtype=np.int64),
-                   grid.iterations, active)
+    """Plain bisection over the whole search range.
+
+    Each read tests the midpoint of every bracket and keeps the half
+    whose ends disagree; returns the midpoint of the final bracket, the
+    flip threshold [V] of every active sample.
+    """
+    v_lo = np.full(bench.batch_size, -grid.search_range)
+    v_hi = np.full(bench.batch_size, grid.search_range)
+    for _ in range(grid.iterations):
+        PERF.count("offset.bisection_iterations")
+        v_mid = 0.5 * (v_lo + v_hi)
+        rises = grid.rises(bench, v_mid, active)
+        v_hi = np.where(rises, v_mid, v_hi)
+        v_lo = np.where(rises, v_lo, v_mid)
+    return 0.5 * (v_lo + v_hi)
+
+
+def _gallop(grid: _Grid, bench: SenseAmpTestbench,
+            cell: np.ndarray) -> np.ndarray:
+    """Flip thresholds of in-range samples, searched outward from ``cell``.
+
+    Every sample falls at grid index 0 and rises at ``grid.cells``, so
+    its bracket starts as the whole grid.  The first read probes the
+    sample's own start cell (clipped to ``1 .. cells - 1``); the probes
+    then move on from the bracket end it set in doubling steps (1, 2,
+    4, ... cells) until the sign turns or the next step would leave the
+    bracket, and bisection closes the bracket to one cell.  Each round
+    is one batched read of the samples still open.  The final cell is
+    plain bisection's flip cell and :meth:`_Grid.point` gives its ends
+    as plain bisection's floats, so the result is plain bisection's.
+    """
+    lo = np.zeros(cell.size, dtype=np.int64)
+    hi = np.full(cell.size, grid.cells, dtype=np.int64)
+    k = np.clip(cell, 1, grid.cells - 1).astype(np.int64)
+    stride = np.ones(cell.size, dtype=np.int64)  # 0 once bisecting
+    up = None
+    active = np.ones(cell.size, dtype=bool)
+    while active.any():
+        PERF.count("offset.bisection_iterations")
+        rises = grid.rises(bench, grid.point(k), active)
+        hi = np.where(active & rises, k, hi)
+        lo = np.where(active & ~rises, k, lo)
+        if up is None:  # gallop away from the first probe
+            up = ~rises
+        # Once the sign turns, the next step lies past the other end.
+        k = np.where(up, lo + stride, hi - stride)
+        inside = (lo < k) & (k < hi)
+        stride = np.where(inside, 2 * stride, 0)
+        k = np.where(inside, k, (lo + hi) // 2)
+        active = hi - lo > 1
+    return 0.5 * (grid.point(lo) + grid.point(hi))
 
 
 def _guided_search(grid: _Grid, testbench: SenseAmpTestbench,
@@ -286,14 +308,14 @@ def _guided_search(grid: _Grid, testbench: SenseAmpTestbench,
 
     The first :data:`PILOT` samples are bisected in full; their flip
     thresholds are least-squares fitted on the per-device Vth shifts
-    plus a constant.  Every other in-range sample gets a
-    ``2**WINDOW_BITS``-cell bracket centred on its prediction; a read at
-    each end confirms it and :data:`WINDOW_BITS` reads bisect inside it.  A
-    sample whose sign is monotone in the input has one flip cell, a
-    confirmed bracket contains it and its midpoints are grid points, so
-    the result is plain bisection's, bit for bit.  Unconfirmed samples
-    (misses) are bisected in full.  Each set runs on its own
-    sub-testbench.
+    plus a constant.  Every other in-range sample is searched by
+    :func:`_gallop` from the grid cell of its prediction, on one
+    sub-testbench; a pilot whose shifts do not span theirs (a repeated
+    sample, say) cannot place them, so they are bisected in full.  A
+    sample whose sign is monotone in the input has one flip cell and
+    every read lands on a grid point, so the result is plain
+    bisection's, bit for bit, however far off the prediction is; a
+    sample ``d`` cells off costs about ``2*log2(d) + 2`` reads.
     """
     batch = testbench.batch_size
     flip = np.full(batch, np.nan)
@@ -306,31 +328,21 @@ def _guided_search(grid: _Grid, testbench: SenseAmpTestbench,
               if isinstance(shift, np.ndarray) and shift.ndim]
     features = np.column_stack(shifts + [np.ones(batch)])
     fitted = pilot[in_range[pilot]]
-    coef = np.linalg.lstsq(features[fitted], flip[fitted], rcond=None)[0]
+    coef, _, rank, _ = np.linalg.lstsq(features[fitted], flip[fitted],
+                                       rcond=None)
 
     guided = PILOT + np.flatnonzero(in_range[PILOT:])
     if not guided.size:
         return flip
-    width = 1 << WINDOW_BITS
-    step = 2.0 * grid.search_range / grid.cells
-    centre = np.floor((features[guided] @ coef + grid.search_range) / step)
-    start = np.clip(centre - width // 2, 0,
-                    grid.cells - width).astype(np.int64)
     bench = _sub_bench(testbench, guided)
-    # Two plain reads, not one fused 2x-batch read: the fused system
-    # and its doubled state history raised a 400-sample cell's peak
-    # RSS by ~4 MB (~4 %) and saved no measurable time.
-    hit = (grid.rises(bench, grid.point(start + width))
-           & ~grid.rises(bench, grid.point(start)))
-    hits = int(hit.sum())
-    PERF.count("offset.guided_samples", hits)
-    PERF.count("offset.guided_misses", guided.size - hits)
-    if hits:
-        flip[guided] = _bisect(grid, bench, start, start + width,
-                               WINDOW_BITS, hit)
-    missed = guided[~hit]
-    if missed.size:
-        flip[missed] = _full_range(grid, _sub_bench(testbench, missed))
+    if rank < np.linalg.matrix_rank(features[guided]):
+        # The pilot does not span the samples it would place.
+        flip[guided] = _full_range(grid, bench)
+        return flip
+    PERF.count("offset.guided_samples", guided.size)
+    step = 2.0 * grid.search_range / grid.cells
+    cell = np.floor((features[guided] @ coef + grid.search_range) / step)
+    flip[guided] = _gallop(grid, bench, cell)
     return flip
 
 
@@ -350,10 +362,11 @@ def extract_offsets(testbench: SenseAmpTestbench,
     never spends Newton iterations on samples whose result is already
     known to be NaN.
 
-    Batches larger than ``2 * PILOT`` searched for more than
-    ``WINDOW_BITS + 1`` iterations take the guided search (see
-    :func:`_guided_search`); its results equal plain bisection's bit
-    for bit.
+    Batches larger than ``2 * PILOT`` searched for at least
+    :data:`GUIDED_MIN_ITERATIONS` iterations take the guided search:
+    every sample past a fully bisected pilot gallops outward from its
+    predicted grid cell (see :func:`_guided_search`).  Its results equal
+    plain bisection's bit for bit.
 
     Sign convention follows the paper's figures: the offset voltage is
     the *extra input the SA demands*, so aging that favours reading 1
@@ -379,7 +392,7 @@ def extract_offsets(testbench: SenseAmpTestbench,
     PERF.count("offset.samples", batch)
     PERF.count("offset.samples_out_of_range", int(batch - in_range.sum()))
 
-    if batch > 2 * PILOT and iterations > WINDOW_BITS + 1:
+    if batch > 2 * PILOT and iterations >= GUIDED_MIN_ITERATIONS:
         # No sign read on this bench follows: free the endpoint seed,
         # which pins the whole 2x-batch state history.
         testbench.forget_trajectories()

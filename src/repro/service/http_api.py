@@ -53,6 +53,7 @@ import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
+from ..validation import finite_real
 from .scheduler import AckError, UnknownJobError
 from .service import Service, ServiceError
 
@@ -199,14 +200,13 @@ class _Handler(BaseHTTPRequestHandler):
         worker, body = self._worker_body()
         max_batch = body.get("max_batch", 8)
         lease_s = body.get("lease_s", 60.0)
-        if not isinstance(max_batch, int) or max_batch < 1:
+        if isinstance(max_batch, bool) or not isinstance(max_batch, int) \
+                or max_batch < 1:
             raise ValueError("malformed claim: 'max_batch' must be a "
                              "positive integer")
-        if lease_s is not None \
-                and (not isinstance(lease_s, (int, float))
-                     or lease_s <= 0):
-            raise ValueError("malformed claim: 'lease_s' must be a "
-                             "positive number (or null)")
+        if lease_s is not None:  # null: a lease that never lapses
+            lease_s = finite_real(lease_s, "malformed claim: 'lease_s'",
+                                  positive=True)
         jobs = self.server.service.claim(worker, max_batch=max_batch,
                                          lease_s=lease_s)
         self._reply(200, {"worker": worker, "jobs": jobs})
@@ -219,8 +219,9 @@ class _Handler(BaseHTTPRequestHandler):
                 or not all(isinstance(jid, str) for jid in ids):
             raise ValueError("malformed heartbeat: 'ids' must be a "
                              "list of job ids")
-        renewed = self.server.service.heartbeat(worker, ids,
-                                                float(lease_s))
+        renewed = self.server.service.heartbeat(
+            worker, ids, finite_real(lease_s, "malformed heartbeat: "
+                                     "'lease_s'", positive=True))
         self._reply(200, {"worker": worker, "renewed": renewed})
 
     def _ack(self) -> None:
@@ -229,7 +230,10 @@ class _Handler(BaseHTTPRequestHandler):
         if not isinstance(job_id, str) or not job_id:
             raise ValueError("malformed ack: 'id' must be a job id")
         scheduler = self.server.service.scheduler
-        if body.get("release"):
+        release = body.get("release", False)
+        if not isinstance(release, bool):
+            raise ValueError("malformed ack: 'release' must be a boolean")
+        if release:
             job = scheduler.release(worker, job_id,
                                     body.get("error")
                                     or "released by worker")

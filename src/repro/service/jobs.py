@@ -33,7 +33,7 @@ import dataclasses
 import json
 from typing import Any, Dict, Optional, Tuple, Union
 
-from ..validation import require_finite, require_int
+from ..validation import require_bool, require_finite, require_int
 
 #: Job lifecycle states.
 PENDING = "pending"
@@ -85,11 +85,10 @@ class JobRequest:
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
         from ..core.offset import MAX_ITERATIONS
-        if self.mc is None or self.offset_iterations is None \
-                or self.seed is None:
-            raise ValueError("mc, offset_iterations and seed must be set")
-        require_int(self, "mc", "offset_iterations", "chunk_size")
+        require_int(self, "mc", "offset_iterations")
+        require_int(self, "chunk_size", optional=True)
         require_int(self, "seed", minimum=0)
+        require_bool(self, "measure_offset", "measure_delay")
         if self.workload is not None and not isinstance(self.workload,
                                                         str):
             raise ValueError(
@@ -242,7 +241,7 @@ class EngineRequest:
         constructs in one step.
         """
         require_finite(self, "timeout_s")
-        require_int(self, "chunk_size", "workers")
+        require_int(self, "chunk_size", "workers", optional=True)
         return self._parse()
 
     def _physics(self) -> Dict[str, Any]:

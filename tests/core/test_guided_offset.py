@@ -1,14 +1,15 @@
 """The guided offset search equals plain bisection, bit for bit.
 
-``extract_offsets`` brackets every sample past a fully bisected pilot
-around a linear prediction and bisects only inside the bracket.  Each
-case below runs a population large enough to take that path and
-compares it with plain full-range bisection of the same population on a
-fresh bench (the guided path switched off by raising ``PILOT``).
+``extract_offsets`` searches every sample past a fully bisected pilot
+outward from a linear prediction of its flip cell.  Each case below
+runs a population large enough to take that path and compares it with
+plain full-range bisection of the same population on a fresh bench
+(the guided path switched off by raising ``PILOT``).
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.perf import PERF
 from repro.circuits.sense_amp import ReadTiming
@@ -62,10 +63,9 @@ def assert_bitwise(guided, plain):
 
 
 def assert_accounted(guided, counters):
-    """Every in-range sample past the pilot is either a hit or a miss."""
+    """Every in-range sample past the pilot took the gallop."""
     candidates = int(np.isfinite(guided[offset.PILOT:]).sum())
-    assert (counters.get("offset.guided_samples", 0)
-            + counters.get("offset.guided_misses", 0)) == candidates
+    assert counters.get("offset.guided_samples", 0) == candidates
 
 
 def test_nominal_nssa(monkeypatch):
@@ -86,14 +86,14 @@ def test_nominal_issa_both_pass_pairs(monkeypatch, swapped):
 
 
 def test_aged_hot_nssa_misses_fall_back(monkeypatch):
-    """An aged 125 degC NSSA cell has real prediction misses."""
+    """An aged 125 degC NSSA cell, where the linear prediction is
+    furthest off."""
     design, env, shifts = population("nssa", "80r1", 1e8, temp_c=125.0,
                                      size=200)
     guided, plain, counters = guided_and_plain(monkeypatch, design, env,
                                                shifts)
     assert_bitwise(guided, plain)
     assert_accounted(guided, counters)
-    assert counters.get("offset.guided_misses", 0) > 0
 
 
 def test_scaled_mismatch(monkeypatch):
@@ -107,8 +107,8 @@ def test_scaled_mismatch(monkeypatch):
 
 
 def test_poor_pilot_fit_forces_misses(monkeypatch):
-    """A pilot of one repeated sample cannot fit the slopes: most
-    brackets miss and go through the full-range fallback."""
+    """A pilot of one repeated sample cannot fit the slopes: its shifts
+    span one direction, so the other samples are bisected in full."""
     design, env, shifts = population("nssa")
     flat = {name: value.copy() for name, value in shifts.items()}
     for value in flat.values():
@@ -116,9 +116,9 @@ def test_poor_pilot_fit_forces_misses(monkeypatch):
     guided, plain, counters = guided_and_plain(monkeypatch, design, env,
                                                flat)
     assert_bitwise(guided, plain)
-    assert_accounted(guided, counters)
-    assert counters["offset.guided_misses"] > counters.get(
-        "offset.guided_samples", 0)
+    assert "offset.guided_samples" not in counters
+    assert (counters["offset.bisection_iterations"]
+            == 2 * offset.SEARCH_ITERATIONS)
 
 
 def test_out_of_range_samples_stay_nan(monkeypatch):
@@ -143,7 +143,7 @@ def test_non_dyadic_search_range(monkeypatch):
 
 
 @pytest.mark.parametrize("size,iterations", [
-    (BATCH, offset.WINDOW_BITS + 1),
+    (BATCH, offset.GUIDED_MIN_ITERATIONS - 1),
     (2 * offset.PILOT, offset.SEARCH_ITERATIONS),
 ])
 def test_small_inputs_take_the_full_range(monkeypatch, size, iterations):
@@ -152,7 +152,6 @@ def test_small_inputs_take_the_full_range(monkeypatch, size, iterations):
         iterations=iterations)
     assert_bitwise(guided, plain)
     assert "offset.guided_samples" not in counters
-    assert "offset.guided_misses" not in counters
     assert counters["offset.bisection_iterations"] == iterations
 
 
@@ -179,34 +178,49 @@ def float_bisection(thresholds, search_range, iterations):
     return lo, hi
 
 
+#: Predicted-cell errors: exact, one cell either way, past 64 cells,
+#: and far enough to be clipped at a range edge.
+ERRORS = st.one_of(st.sampled_from([0, 1, -1, 33, -33, 65, -65]),
+                   st.integers(-1 << 15, 1 << 15))
+
+
 @pytest.mark.parametrize("search_range", [0.25, 0.3, 0.1])
-def test_window_bisection_replays_plain_arithmetic(search_range):
-    """Bisecting any 64-cell window of the grid that holds the flip
-    ends where plain bisection ends, for dyadic and other ranges.
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_gallop_equals_full_range(search_range, data):
+    """Galloping from any predicted cell ends where plain bisection
+    ends, for dyadic and other ranges, and costs about ``2*log2(d) + 2``
+    reads for a prediction ``d`` cells off.
 
     Every threshold sits exactly on a grid point as plain bisection
     computes it, so a read one ulp off that value (``-R + k * h``, or
-    halving unaligned window ends) resolves the other way.
+    halving unaligned bracket ends) resolves the other way.
     """
-    rng = np.random.default_rng(5)
-    iterations, width = 14, 1 << offset.WINDOW_BITS
+    iterations = 14
+    cells = 1 << iterations
+    flip = np.array(data.draw(st.lists(
+        st.one_of(st.integers(0, cells - 1),
+                  st.sampled_from([0, 1, cells - 2, cells - 1])),
+        min_size=1, max_size=24)))
+    error = np.array(data.draw(st.lists(
+        ERRORS, min_size=flip.size, max_size=flip.size)))
+    step = 2.0 * search_range / cells
     thresholds, _ = float_bisection(
-        rng.uniform(-0.9, 0.9, 500) * search_range, search_range,
-        iterations)
+        -search_range + (flip + 0.5) * step, search_range, iterations)
     lo, hi = float_bisection(thresholds, search_range, iterations)
-
     plain = 0.5 * (lo + hi)
 
     bench = ThresholdBench(thresholds)
     grid = offset._Grid(search_range, iterations, False, 0.0)
     np.testing.assert_array_equal(offset._full_range(grid, bench), plain)
-    flip = np.searchsorted(grid.point(np.arange(grid.cells)), plain) - 1
-    start = np.clip(flip - rng.integers(0, width, flip.size), 0,
-                    grid.cells - width)
-    assert np.any(start % width)  # unaligned brackets are replayed
+    PERF.reset()
     np.testing.assert_array_equal(
-        offset._bisect(grid, bench, start, start + width,
-                       offset.WINDOW_BITS), plain)
+        offset._gallop(grid, bench, flip + error), plain)
+
+    start = np.clip(flip + error, 1, cells - 1)
+    off = np.where(flip >= start, flip - start, start - 1 - flip)
+    reads = PERF.snapshot()["counters"]["offset.bisection_iterations"]
+    assert reads <= 2 * int(np.ceil(np.log2(off.max() + 2)))
 
 
 def test_depth_limit(nssa_bench):

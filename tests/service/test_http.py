@@ -376,7 +376,9 @@ class TestRawBodies:
         {"request": request_fields(), "priority": "x"},
         {"request": request_fields(), "priority": 1.5},
         {"request": request_fields(), "priority": True},
+        {"request": request_fields(measure_delay="no")},
     ], ids=["list-body", "string-request", "list-request",
-            "string-priority", "float-priority", "bool-priority"])
+            "string-priority", "float-priority", "bool-priority",
+            "string-measure-flag"])
     def test_malformed_submit_is_400(self, server, doc):
         assert_submit_refused(server[0], doc)

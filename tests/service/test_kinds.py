@@ -160,6 +160,23 @@ def test_cell_seed_zero_accepted():
     request_from_dict(dict(CASES["cell"][1], seed=0)).validate()
 
 
+@pytest.mark.parametrize("kind", ["fleet", "array"])
+def test_engine_seed_must_be_set(kind):
+    document = json.loads(json.dumps(CASES[kind][1]))
+    document["spec"]["seed"] = None
+    with pytest.raises(ValueError, match="seed"):
+        request_from_dict(document).validate()
+
+
+@pytest.mark.parametrize("name", ["measure_offset", "measure_delay"])
+@pytest.mark.parametrize("value", ["no", "true", 0, 1, None, [True]])
+def test_cell_measure_flags_are_booleans(name, value):
+    """A flag is read by truthiness, so ``"no"`` would measure."""
+    document = dict(CASES["cell"][1], **{name: value})
+    with pytest.raises(ValueError, match=name):
+        request_from_dict(document).validate()
+
+
 @pytest.mark.parametrize("value", [5, [1], {"name": "80r0"}, True, 2.5])
 def test_cell_workload_is_a_name(value):
     document = dict(CASES["cell"][1], workload=value)

@@ -6,6 +6,7 @@ arbitrary JSON value.  The service never starts a worker, so accepted
 jobs are journalled but never run.
 """
 
+import contextlib
 import json
 import threading
 import urllib.error
@@ -59,14 +60,23 @@ FIELDS = sorted(
 def submit_url(tmp_path_factory):
     service = Service(directory=tmp_path_factory.mktemp("service"),
                       autostart=False)
+    with serving(service) as base:
+        yield base + "/submit"
+    service.close()
+
+
+@contextlib.contextmanager
+def serving(service):
+    """Base URL of an in-process HTTP server over ``service``."""
     httpd = make_server(service, "127.0.0.1", 0)
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
     thread.start()
-    yield f"http://127.0.0.1:{httpd.server_address[1]}/submit"
-    httpd.shutdown()
-    thread.join(timeout=5)
-    httpd.server_close()
-    service.close()
+    try:
+        yield f"http://127.0.0.1:{httpd.server_address[1]}"
+    finally:
+        httpd.shutdown()
+        thread.join(timeout=5)
+        httpd.server_close()
 
 
 def post(url, body):

@@ -192,6 +192,12 @@ class TestRejection:
                                            count + 0.5))
 
     @PROPERTY
+    @given(spec=fleet_specs(), field=st.sampled_from(FLEET_COUNTS))
+    def test_fleet_unset_count(self, spec, field):
+        with pytest.raises(ValueError, match=field):
+            FleetSpec.from_dict(with_field(spec.to_dict(), (field,), None))
+
+    @PROPERTY
     @given(policy=policies, bad=st.sampled_from(NON_FINITE),
            field=st.sampled_from(POLICY_REALS))
     def test_policy_non_finite(self, policy, bad, field):
@@ -243,3 +249,9 @@ class TestRejection:
     def test_array_fractional_count(self, spec, count, field):
         with pytest.raises(ValueError):
             ArraySpec.from_dict(dict(spec.to_dict(), **{field: count + 0.5}))
+
+    @PROPERTY
+    @given(spec=array_specs(), field=st.sampled_from(ARRAY_COUNTS))
+    def test_array_unset_count(self, spec, field):
+        with pytest.raises(ValueError, match=field):
+            ArraySpec.from_dict(dict(spec.to_dict(), **{field: None}))
