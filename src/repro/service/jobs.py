@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from typing import Any, Dict, Optional, Tuple, Union
 
 from ..validation import require_bool, require_finite, require_int
@@ -47,6 +48,16 @@ TERMINAL = (DONE, FAILED, CANCELLED)
 
 #: Every valid state (for validation at the API boundary).
 STATES = (PENDING, RUNNING, DONE, FAILED, CANCELLED)
+
+#: Fewest time steps a cell's transient takes across the SAenable rise.
+#: Coarser steps do not resolve it: dt = 3, 5, 10 and 30 ps all fail
+#: in the worker (Newton divergence, or no delay to fit), 2.5 ps runs.
+MIN_RISE_STEPS = 2
+
+#: Ceiling on the sample-steps (time steps x samples) of one transient
+#: batch.  Each costs ~200 B of known-column table, state ring and
+#: probes, so this is ~1 GB; a 1e-18 s step would ask for far more.
+MAX_BATCH_SAMPLE_STEPS = 1 << 22
 
 
 @dataclasses.dataclass(frozen=True)
@@ -89,6 +100,7 @@ class JobRequest:
         require_int(self, "chunk_size", optional=True)
         require_int(self, "seed", minimum=0)
         require_bool(self, "measure_offset", "measure_delay")
+        self._validate_steps()
         if self.workload is not None and not isinstance(self.workload,
                                                         str):
             raise ValueError(
@@ -97,6 +109,24 @@ class JobRequest:
             raise ValueError(
                 f"offset_iterations must be at most {MAX_ITERATIONS}")
         self.to_cell()
+
+    def _validate_steps(self) -> None:
+        """Refuse a ``dt`` the transient cannot resolve or hold."""
+        from ..circuits.sense_amp import ReadTiming
+        timing = ReadTiming(dt=self.dt)
+        if self.dt > timing.t_rise / MIN_RISE_STEPS:
+            raise ValueError(
+                f"dt must be at most {timing.t_rise / MIN_RISE_STEPS:g} s "
+                f"({MIN_RISE_STEPS} steps across the {timing.t_rise:g} s "
+                f"enable rise), got {self.dt:g}")
+        batch = self.mc if self.chunk_size is None else min(
+            self.mc, self.chunk_size)
+        steps = math.ceil(timing.t_window / self.dt)
+        if steps * batch > MAX_BATCH_SAMPLE_STEPS:
+            raise ValueError(
+                f"dt={self.dt:g} s gives {steps} steps x {batch} samples "
+                f"per transient batch, past the {MAX_BATCH_SAMPLE_STEPS} "
+                f"sample-step ceiling; raise dt or lower chunk_size")
 
     def to_cell(self):
         """The :class:`~repro.core.experiment.ExperimentCell` to run.

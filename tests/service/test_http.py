@@ -216,6 +216,9 @@ MALFORMED = [
     dict(dt=float("nan")),
     dict(dt=-1e-12),
     dict(dt=0.0),
+    dict(dt=1e-9),
+    dict(dt=5e-12),
+    dict(dt=1e-18),
     dict(mc=0),
     dict(mc=-3),
     dict(offset_iterations=0),

@@ -190,6 +190,37 @@ def test_cell_bisection_depth_bounded():
         dataclasses.replace(request, offset_iterations=63).validate()
 
 
+@pytest.mark.parametrize("dt", [3e-12, 5e-12, 1e-11, 3e-11, 1e-9])
+def test_cell_dt_must_resolve_the_enable_rise(dt):
+    """Coarser steps than half the 5 ps rise fail in the worker."""
+    request, _ = CASES["cell"]
+    with pytest.raises(ValueError, match="enable rise"):
+        dataclasses.replace(request, dt=dt).validate()
+
+
+def test_cell_dt_at_half_the_rise_accepted():
+    request, _ = CASES["cell"]
+    dataclasses.replace(request, dt=2.5e-12).validate()
+
+
+def test_cell_tiny_dt_refused():
+    """A 1e-18 s step would allocate ~1e8-step tables and state rings,
+    even one sample at a time."""
+    request, _ = CASES["cell"]
+    with pytest.raises(ValueError, match="sample-step ceiling"):
+        dataclasses.replace(request, dt=1e-18, chunk_size=1).validate()
+
+
+def test_cell_step_ceiling_counts_the_batch():
+    """The ceiling is on steps x samples of one transient batch, so a
+    smaller chunk_size admits a finer step."""
+    request = dataclasses.replace(CASES["cell"][0], mc=400, dt=1e-14,
+                                  chunk_size=None)
+    with pytest.raises(ValueError, match="lower chunk_size"):
+        request.validate()
+    dataclasses.replace(request, chunk_size=100).validate()
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="unknown request kind"):
         request_from_dict({"kind": "teleport"})
