@@ -12,10 +12,12 @@ promotes the single-SA pipeline to read-path/bank granularity:
   keyed per (column, device *name*) so the shared latch devices receive
   identical draws under NSSA and ISSA (common random numbers), and a
   column's draws depend only on its key, not on the column fan-out.
-- :mod:`.characterizer` — one column's offset/delay characterisation
-  with geometry-derived bitline loading injected onto the SA inputs.
-- :mod:`.engine` — ``ArrayEngine``: fans columns x checkpoints across
-  processes (bitwise invariant to workers/chunk_size), aggregates
+- :mod:`.characterizer` — offset/delay characterisation of a packed
+  column group on one testbench, with geometry-derived bitline loading
+  injected onto the SA inputs.
+- :mod:`.engine` — ``ArrayEngine``: fans schemes x checkpoints x
+  column groups across processes (bitwise invariant to
+  workers/chunk_size), aggregates
   per-bank specs through ``memory.yield_model``, and emits the
   bank-level ISSA-vs-NSSA lifetime and read-latency tables.
 """

@@ -1,9 +1,10 @@
-"""One column's read-path characterisation.
+"""Column read-path characterisation, a packed group at a time.
 
-Builds the column's sense amplifier with geometry-derived loading
-injected onto its internal sense nodes, applies the column's keyed
-mismatch and aging populations, and extracts the offset distribution
-and sensing delay with the same machinery the single-SA tables use.
+Builds the columns' sense amplifier with geometry-derived loading
+injected onto its internal sense nodes, applies each column's keyed
+mismatch and aging populations to its own slice of one packed batch,
+and extracts the offset distributions and sensing delays with the same
+machinery the single-SA tables use.
 
 The injected load is what couples array geometry into the electrical
 result: each of the ``mux_factor`` column-mux legs parks one off-device
@@ -18,7 +19,7 @@ entry.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -74,48 +75,71 @@ def build_column_design(spec: ArraySpec, scheme: str) -> SenseAmpDesign:
     return design
 
 
-def characterize_column(spec: ArraySpec, scheme: str, time_s: float,
-                        column: int,
-                        backend: Optional[str] = None) -> Dict[str, Any]:
-    """Offset/delay characterisation of one column at one checkpoint.
+def _column_shifts(design: SenseAmpDesign, spec: ArraySpec, time_s: float,
+                   env: Environment, column: int) -> Dict[str, np.ndarray]:
+    """One column's total Vth shifts: its keyed mismatch plus aging."""
+    shifts = column_mismatch(design.circuit.mosfet_ratios(), spec.mc,
+                             spec.seed, column)
+    aging = column_aging(design, spec.workload, time_s, env, spec.mc,
+                         spec.seed, column)
+    for name, values in aging.items():
+        shifts[name] = shifts.get(name, 0.0) + values
+    return shifts
 
-    Returns a JSON-primitive row (full-precision floats — downstream
-    bitwise-invariance checks compare these directly).
+
+def characterize_columns(spec: ArraySpec, scheme: str, time_s: float,
+                         columns: Sequence[int],
+                         backend: Optional[str] = None,
+                         ) -> List[Dict[str, Any]]:
+    """Offset/delay characterisation of a column group at one checkpoint.
+
+    The group shares one packed testbench: each column's keyed draws
+    fill its own ``spec.mc`` samples of the batch, in column order, so
+    a group large enough takes the guided offset search.  Every
+    sample's offset and delay are independent of the batch it sits in,
+    so each column's row is what a testbench of its own would give.
+
+    Returns one JSON-primitive row per column (full-precision floats —
+    downstream bitwise-invariance checks compare these directly).
     """
     design = build_column_design(spec, scheme)
     env = Environment.from_celsius(spec.temp_c, spec.vdd)
-    mismatch = column_mismatch(design.circuit.mosfet_ratios(), spec.mc,
-                               spec.seed, column)
-    aging = column_aging(design, spec.workload, time_s, env, spec.mc,
-                         spec.seed, column)
-    shifts = {name: values.copy() for name, values in mismatch.items()}
-    for name, values in aging.items():
-        shifts[name] = shifts.get(name, 0.0) + values
-    testbench = SenseAmpTestbench(design, env, batch_size=spec.mc,
+    parts = [_column_shifts(design, spec, time_s, env, column)
+             for column in columns]
+    shifts = {name: np.concatenate([part[name] for part in parts])
+              for name in parts[0]}
+    testbench = SenseAmpTestbench(design, env,
+                                  batch_size=spec.mc * len(parts),
                                   timing=ReadTiming(), backend=backend)
     testbench.set_vth_shifts(shifts)
     offsets = extract_offsets(testbench,
                               iterations=spec.offset_iterations)
-    dist = OffsetDistribution(offsets, fit_offsets(offsets))
     workload = (paper_workload(spec.workload)
                 if spec.workload is not None else None)
     components = _delay_components(testbench, workload)
-    delay_s = sum(weight * float(np.mean(values))
-                  for weight, values in components)
-    return {
-        "column": column,
-        "scheme": scheme,
-        "time_s": time_s,
-        "mu_v": dist.mu,
-        "sigma_v": dist.sigma,
-        "spec_v": dist.spec,
-        "delay_s": delay_s,
-        "invalid": dist.invalid_count,
-    }
+    rows = []
+    for index, column in enumerate(columns):
+        samples = slice(index * spec.mc, (index + 1) * spec.mc)
+        dist = OffsetDistribution(offsets[samples],
+                                  fit_offsets(offsets[samples]))
+        delay_s = sum(weight * float(np.mean(values[samples]))
+                      for weight, values in components)
+        rows.append({
+            "column": column,
+            "scheme": scheme,
+            "time_s": time_s,
+            "mu_v": dist.mu,
+            "sigma_v": dist.sigma,
+            "spec_v": dist.spec,
+            "delay_s": delay_s,
+            "invalid": dist.invalid_count,
+        })
+    return rows
 
 
-def characterize_columns(spec: ArraySpec, scheme: str, time_s: float,
-                         columns, backend: Optional[str] = None):
-    """Characterise a group of columns (one parallel task's worth)."""
-    return [characterize_column(spec, scheme, time_s, column, backend)
-            for column in columns]
+def characterize_column(spec: ArraySpec, scheme: str, time_s: float,
+                        column: int,
+                        backend: Optional[str] = None) -> Dict[str, Any]:
+    """One column's row: a group of one (see :func:`characterize_columns`)."""
+    return characterize_columns(spec, scheme, time_s, (column,),
+                                backend)[0]

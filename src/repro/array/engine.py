@@ -1,7 +1,7 @@
 """Bank-level characterisation engine.
 
-``ArrayEngine`` fans per-column characterisations across processes and
-aggregates them into per-bank verdicts:
+``ArrayEngine`` fans packed column-group characterisations across
+processes and aggregates them into per-bank verdicts:
 
 - the joint **bank spec** — the smallest provisioned swing at which a
   whole bank read (all columns at once) meets the paper's failure-rate
@@ -14,10 +14,13 @@ aggregates them into per-bank verdicts:
   bank spec plus noise margin still fits under the provisioned swing.
 
 ``compare`` runs several schemes over the same spec and emits the
-ISSA-vs-NSSA lifetime / latency table.  Work is split into
-``chunk_size``-column tasks through ``core.parallel.run_tasks``;
-because every draw is spawn-keyed per column, the report is bitwise
-invariant to ``workers`` and ``chunk_size``.
+ISSA-vs-NSSA lifetime / latency table.  The columns are packed into
+groups of ``chunk_size`` (default: :data:`PACK_SAMPLES` samples' worth)
+that share one testbench, and every (scheme, checkpoint, group) is one
+task of a single ``core.parallel.run_tasks`` fan-out.  Because every
+draw is spawn-keyed per column and a sample's offset and delay do not
+depend on the batch it is packed in, the report is bitwise invariant
+to ``workers`` and ``chunk_size``.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.perf import PERF
 from ..constants import FAILURE_RATE_TARGET
+from ..core.offset import PILOT
 from ..core.parallel import run_tasks
 from ..memory.array import ArrayTiming, read_latency
 from ..memory.bitline import bitline_from_geometry
@@ -34,6 +38,12 @@ from ..memory.yield_model import (YieldModel, bank_spec,
                                   sa_failure_probability, yield_loss_ppm)
 from .characterizer import characterize_columns, sense_input_load
 from .spec import ArraySpec, validate_schemes
+
+#: Samples a packed column group aims for.  Every full group then
+#: clears the guided offset search's floor of ``2 * PILOT`` samples
+#: (mc 24 packs 8 columns; from mc 97 one column clears it alone),
+#: while a pool worker's testbench stays small.
+PACK_SAMPLES = 4 * PILOT
 
 
 class ArrayEngine:
@@ -46,7 +56,8 @@ class ArrayEngine:
     workers:
         Process count for the column fan-out (``None`` = auto).
     chunk_size:
-        Columns per parallel task (``None`` = one task per column).
+        Columns per packed testbench, which is one parallel task
+        (``None`` = as many as fit :data:`PACK_SAMPLES`, at least one).
         A knob for scheduling only — never part of the result or the
         cache identity.
     yield_model:
@@ -64,12 +75,12 @@ class ArrayEngine:
             raise ValueError("chunk size must be positive")
         self.spec = spec
         self.workers = workers
-        self.chunk_size = chunk_size or 1
+        self.chunk_size = chunk_size or max(1, PACK_SAMPLES // spec.mc)
         self.yield_model = yield_model or YieldModel()
         self.backend = backend
 
     # -- scheduling -------------------------------------------------------
-    def _column_chunks(self) -> List[Tuple[int, ...]]:
+    def _column_groups(self) -> List[Tuple[int, ...]]:
         columns = list(range(self.spec.columns))
         size = self.chunk_size
         return [tuple(columns[i:i + size])
@@ -109,33 +120,45 @@ class ArrayEngine:
         }
 
     # -- characterisation -------------------------------------------------
+    def _characterize_all(self, schemes: Sequence[str],
+                          timeout: Optional[float],
+                          cancel: Optional[Any]) -> Dict[str, Any]:
+        """Per-column rows and bank summaries for each scheme.
+
+        Every (scheme, checkpoint, column group) is one task of one
+        fan-out, so the pool stays busy across schemes and checkpoints.
+        """
+        spec = self.spec
+        groups = self._column_groups()
+        args = [(spec, scheme, time_s, group, self.backend)
+                for scheme in schemes for time_s in spec.times_s
+                for group in groups]
+        with PERF.timer("array.characterize"):
+            group_rows = iter(run_tasks(characterize_columns, args,
+                                        workers=self.workers,
+                                        timeout=timeout, cancel=cancel))
+        PERF.count("array.tasks", len(args))
+        results = {}
+        for scheme in schemes:
+            checkpoints = []
+            for time_s in spec.times_s:
+                rows = [row for _ in groups for row in next(group_rows)]
+                PERF.count("array.columns", len(rows))
+                checkpoints.append({
+                    "time_s": time_s,
+                    "columns": rows,
+                    "bank": self._bank_summary(rows),
+                })
+            PERF.count("array.banks", len(checkpoints))
+            results[scheme] = {"scheme": scheme,
+                               "checkpoints": checkpoints}
+        return results
+
     def characterize(self, scheme: str, timeout: Optional[float] = None,
                      cancel: Optional[Any] = None) -> Dict[str, Any]:
         """Per-column rows and bank summaries for one scheme."""
         (scheme,) = validate_schemes((scheme,))
-        chunks = self._column_chunks()
-        args = [(self.spec, scheme, time_s, chunk, self.backend)
-                for time_s in self.spec.times_s for chunk in chunks]
-        with PERF.timer("array.characterize"):
-            chunk_rows = run_tasks(characterize_columns, args,
-                                   workers=self.workers, timeout=timeout,
-                                   cancel=cancel)
-        PERF.count("array.tasks", len(args))
-        per_chunk = len(chunks)
-        checkpoints = []
-        for t_index, time_s in enumerate(self.spec.times_s):
-            rows: List[Dict[str, Any]] = []
-            for chunk in chunk_rows[t_index * per_chunk:
-                                    (t_index + 1) * per_chunk]:
-                rows.extend(chunk)
-            PERF.count("array.columns", len(rows))
-            checkpoints.append({
-                "time_s": time_s,
-                "columns": rows,
-                "bank": self._bank_summary(rows),
-            })
-        PERF.count("array.banks", len(checkpoints))
-        return {"scheme": scheme, "checkpoints": checkpoints}
+        return self._characterize_all((scheme,), timeout, cancel)[scheme]
 
     @staticmethod
     def _lifetime(checkpoints: List[Dict[str, Any]]) -> Dict[str, Any]:
@@ -156,8 +179,7 @@ class ArrayEngine:
         spec = self.spec
         start = time.perf_counter()
         with PERF.timer("array.compare"):
-            results = {scheme: self.characterize(scheme, timeout, cancel)
-                       for scheme in schemes}
+            results = self._characterize_all(schemes, timeout, cancel)
         elapsed = time.perf_counter() - start
         PERF.count("array.compares")
         for name, value in spec.geometry().items():

@@ -180,6 +180,12 @@ def build_issa(nmos: MosParams = NMOS_45HP,
     return SenseAmpDesign(circuit, "issa")
 
 
+#: Fewest transient time steps across the SAenable rise.  Coarser steps
+#: do not resolve it: dt = 3, 5, 10 and 30 ps over the default 5 ps rise
+#: all fail (Newton divergence, or no delay to fit); 2.5 ps runs.
+MIN_RISE_STEPS = 2
+
+
 @dataclasses.dataclass(frozen=True)
 class ReadTiming:
     """Timing of one simulated read operation.
@@ -193,7 +199,7 @@ class ReadTiming:
     t_window:
         Total simulated time [s].
     dt:
-        Transient time step [s].
+        Transient time step [s]; at most ``t_rise / MIN_RISE_STEPS``.
     """
 
     t_develop: float = 30e-12
@@ -202,8 +208,14 @@ class ReadTiming:
     dt: float = 0.5e-12
 
     def __post_init__(self) -> None:
-        if min(self.t_develop, self.t_rise, self.t_window, self.dt) <= 0.0:
+        if not all(value > 0.0 for value in (self.t_develop, self.t_rise,
+                                              self.t_window, self.dt)):
             raise ValueError("all timing values must be positive")
+        if not self.dt <= self.t_rise / MIN_RISE_STEPS:
+            raise ValueError(
+                f"dt must be at most {self.t_rise / MIN_RISE_STEPS:g} s "
+                f"({MIN_RISE_STEPS} steps across the {self.t_rise:g} s "
+                f"enable rise), got {self.dt:g}")
         if self.t_develop + self.t_rise >= self.t_window:
             raise ValueError("window too short for develop + rise")
 

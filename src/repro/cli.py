@@ -62,11 +62,19 @@ def _add_corner_args(parser: argparse.ArgumentParser) -> None:
                         help="supply voltage in volts (default 1.0)")
 
 
+def _time_step(text: str) -> float:
+    """A ``--dt`` value, refused unless :class:`ReadTiming` takes it."""
+    try:
+        return ReadTiming(dt=float(text)).dt
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_mc_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mc", type=int, default=100,
                         help="Monte-Carlo samples (paper: 400)")
     parser.add_argument("--seed", type=int, default=2017)
-    parser.add_argument("--dt", type=float, default=1e-12,
+    parser.add_argument("--dt", type=_time_step, default=1e-12,
                         help="transient step in seconds")
     parser.add_argument("--chunk-size", type=int, default=None,
                         help="split the MC batch into chunks of at most "
@@ -916,8 +924,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "serial; 0 means one per CPU); results are "
                         "invariant to it")
     p.add_argument("--chunk-size", type=int, default=None,
-                   help="columns per parallel task; results are "
-                        "invariant to it")
+                   help="columns per packed testbench, one parallel "
+                        "task (default: 192 samples' worth); results "
+                        "are invariant to it")
     from .spice.backends import available_backends as _backends
     p.add_argument("--backend", choices=_backends(), default=None)
     p.add_argument("--json", default=None, metavar="PATH",

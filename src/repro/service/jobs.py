@@ -49,11 +49,6 @@ TERMINAL = (DONE, FAILED, CANCELLED)
 #: Every valid state (for validation at the API boundary).
 STATES = (PENDING, RUNNING, DONE, FAILED, CANCELLED)
 
-#: Fewest time steps a cell's transient takes across the SAenable rise.
-#: Coarser steps do not resolve it: dt = 3, 5, 10 and 30 ps all fail
-#: in the worker (Newton divergence, or no delay to fit), 2.5 ps runs.
-MIN_RISE_STEPS = 2
-
 #: Ceiling on the sample-steps (time steps x samples) of one transient
 #: batch.  Each costs ~200 B of known-column table, state ring and
 #: probes, so this is ~1 GB; a 1e-18 s step would ask for far more.
@@ -111,14 +106,13 @@ class JobRequest:
         self.to_cell()
 
     def _validate_steps(self) -> None:
-        """Refuse a ``dt`` the transient cannot resolve or hold."""
+        """Refuse a ``dt`` the transient cannot resolve or hold.
+
+        ``ReadTiming`` refuses a step too coarse for the enable rise;
+        the batch's sample-step ceiling is checked here.
+        """
         from ..circuits.sense_amp import ReadTiming
         timing = ReadTiming(dt=self.dt)
-        if self.dt > timing.t_rise / MIN_RISE_STEPS:
-            raise ValueError(
-                f"dt must be at most {timing.t_rise / MIN_RISE_STEPS:g} s "
-                f"({MIN_RISE_STEPS} steps across the {timing.t_rise:g} s "
-                f"enable rise), got {self.dt:g}")
         batch = self.mc if self.chunk_size is None else min(
             self.mc, self.chunk_size)
         steps = math.ceil(timing.t_window / self.dt)
@@ -241,7 +235,8 @@ class EngineRequest:
 
     The wire shape of an engine's ``compare`` call: a spec document
     plus the tuple named by ``ITEMS`` (the first entry is the
-    comparison baseline).  ``chunk_size`` / ``workers`` only shape
+    comparison baseline).  ``chunk_size`` (fleet: devices per chunk;
+    array: columns per packed testbench) and ``workers`` only shape
     *how* the engine walks the work — results are bitwise invariant
     to them — so they stay out of the dedup identity, exactly like
     :attr:`JobRequest.chunk_size`.  Identical requests are the *same

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.analysis.perf import PERF
 from repro.array import ArrayEngine, ArraySpec, characterize_column
 from repro.array.characterizer import (build_column_design,
                                        sense_input_load)
@@ -13,6 +14,10 @@ SMALL = ArraySpec(rows=16, columns=2, words_per_row=1, mux_factor=1,
                   mc=6, times_s=(0.0,), offset_iterations=10)
 AGED = ArraySpec(rows=16, columns=2, words_per_row=1, mux_factor=1,
                  mc=6, times_s=(0.0, 1e8), offset_iterations=10)
+#: Eight columns of 16 samples: the default group packs all eight into
+#: one 128-sample batch, past the guided offset search's 96-sample floor.
+PACKED = ArraySpec(rows=16, columns=8, words_per_row=1, mux_factor=1,
+                   mc=16, times_s=(0.0, 1e8), offset_iterations=10)
 
 
 def normalised(doc):
@@ -76,6 +81,32 @@ class TestFanOutParity:
     def test_chunk_size_validation(self):
         with pytest.raises(ValueError):
             ArrayEngine(SMALL, chunk_size=0)
+
+
+class TestPackedGroups:
+    def test_packing_cannot_move_a_bit(self):
+        """Packed groups (guided search), single columns (plain
+        bisection) and a short last group give the same document."""
+        PERF.reset()
+        packed = normalised(ArrayEngine(PACKED, workers=1).compare())
+        counters = PERF.snapshot()["counters"]
+        assert counters["array.tasks"] == 2 * len(PACKED.times_s)
+        assert counters["offset.guided_samples"] > 0
+        for workers, chunk in ((2, None), (1, 1), (2, 1), (1, 3), (2, 3)):
+            doc = normalised(ArrayEngine(PACKED, workers=workers,
+                                         chunk_size=chunk).compare())
+            assert doc == packed, (workers, chunk)
+
+    def test_default_group_fills_the_sample_budget(self):
+        from repro.array.engine import PACK_SAMPLES
+        groups = ArrayEngine(PACKED)._column_groups()
+        assert groups == [tuple(range(8))]
+        wide = ArraySpec(rows=16, columns=16, mc=24)
+        assert len(ArrayEngine(wide)._column_groups()[0]) == \
+            PACK_SAMPLES // 24
+        deep = ArraySpec(rows=16, columns=4, mc=400)
+        assert ArrayEngine(deep)._column_groups() == \
+            [(0,), (1,), (2,), (3,)]
 
 
 class TestBankAggregation:

@@ -60,6 +60,16 @@ class TestReadTiming:
             ReadTiming(dt=0.0)
         with pytest.raises(ValueError):
             ReadTiming(t_develop=100e-12, t_window=90e-12)
+        with pytest.raises(ValueError):
+            ReadTiming(dt=float("nan"))
+
+    def test_step_must_resolve_the_enable_rise(self):
+        """Two steps across the 5 ps rise: 2.5 ps runs, 3 ps does not."""
+        assert ReadTiming(dt=2.5e-12).dt == 2.5e-12
+        with pytest.raises(ValueError, match="enable rise"):
+            ReadTiming(dt=3e-12)
+        # The rule follows the rise time, not a fixed step.
+        assert ReadTiming(t_rise=10e-12, dt=5e-12).dt == 5e-12
 
 
 class TestReadOperation:

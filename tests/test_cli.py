@@ -62,6 +62,17 @@ class TestParser:
         assert args.service_dir == "/tmp/svc"
         assert args.max_batch == 4
 
+    @pytest.mark.parametrize("dt", ["1e-9", "5e-12"])
+    def test_coarse_time_step_is_a_usage_error(self, dt, capsys):
+        """A step too coarse for the enable rise exits 2 with the rule,
+        before anything is simulated."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["characterize", "--mc", "8", "--dt", dt, "--no-cache"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --dt" in err
+        assert "steps across the 5e-12 s enable rise" in err
+
 
 class TestCacheCommand:
     def test_stats_on_empty_store(self, tmp_path, capsys):
