@@ -95,7 +95,7 @@ def characterize_columns(spec: ArraySpec, scheme: str, time_s: float,
 
     The group shares one packed testbench: each column's keyed draws
     fill its own ``spec.mc`` samples of the batch, in column order, so
-    a group large enough takes the guided offset search.  Every
+    the columns share every offset and delay read.  Every
     sample's offset and delay are independent of the batch it sits in,
     so each column's row is what a testbench of its own would give.
 

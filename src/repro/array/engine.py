@@ -29,9 +29,11 @@ import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.perf import PERF
+from ..circuits.sense_amp import ReadTiming
 from ..constants import FAILURE_RATE_TARGET
 from ..core.offset import PILOT
 from ..core.parallel import run_tasks
+from ..core.testbench import check_batch_steps
 from ..memory.array import ArrayTiming, read_latency
 from ..memory.bitline import bitline_from_geometry
 from ..memory.yield_model import (YieldModel, bank_spec,
@@ -39,11 +41,27 @@ from ..memory.yield_model import (YieldModel, bank_spec,
 from .characterizer import characterize_columns, sense_input_load
 from .spec import ArraySpec, validate_schemes
 
-#: Samples a packed column group aims for.  Every full group then
-#: clears the guided offset search's floor of ``2 * PILOT`` samples
-#: (mc 24 packs 8 columns; from mc 97 one column clears it alone),
-#: while a pool worker's testbench stays small.
+#: Samples a packed column group aims for (mc 24 packs 8 columns).
+#: Every full group then holds more than ``2 * PILOT`` samples, so its
+#: offset search refits the predictor on its own pilot and the per-read
+#: overhead is shared by many columns, while a pool worker's testbench
+#: stays small.
 PACK_SAMPLES = 4 * PILOT
+
+
+def group_columns(spec: ArraySpec, chunk_size: Optional[int] = None) -> int:
+    """Columns per packed testbench: ``chunk_size``, else as many as fit
+    :data:`PACK_SAMPLES` (at least one).
+
+    Refuses, with ``ValueError``, a group whose packed batch (columns
+    in a group x ``spec.mc``) passes the sample-step ceiling of
+    :func:`~repro.core.testbench.check_batch_steps`.
+    """
+    if chunk_size is not None and chunk_size < 1:
+        raise ValueError("chunk size must be positive")
+    columns = chunk_size or max(1, PACK_SAMPLES // spec.mc)
+    check_batch_steps(min(columns, spec.columns) * spec.mc, ReadTiming())
+    return columns
 
 
 class ArrayEngine:
@@ -57,9 +75,9 @@ class ArrayEngine:
         Process count for the column fan-out (``None`` = auto).
     chunk_size:
         Columns per packed testbench, which is one parallel task
-        (``None`` = as many as fit :data:`PACK_SAMPLES`, at least one).
-        A knob for scheduling only — never part of the result or the
-        cache identity.
+        (``None`` = as many as fit :data:`PACK_SAMPLES`, at least one;
+        see :func:`group_columns`).  A knob for scheduling only — never
+        part of the result or the cache identity.
     yield_model:
         Chip organisation for the yield-loss column of the report.
     backend:
@@ -71,11 +89,9 @@ class ArrayEngine:
                  chunk_size: Optional[int] = None,
                  yield_model: Optional[YieldModel] = None,
                  backend: Optional[str] = None) -> None:
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError("chunk size must be positive")
         self.spec = spec
         self.workers = workers
-        self.chunk_size = chunk_size or max(1, PACK_SAMPLES // spec.mc)
+        self.chunk_size = group_columns(spec, chunk_size)
         self.yield_model = yield_model or YieldModel()
         self.backend = backend
 

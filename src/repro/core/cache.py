@@ -35,7 +35,7 @@ import os
 import pathlib
 import tempfile
 import zipfile
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -58,6 +58,10 @@ def default_cache_dir() -> pathlib.Path:
     return pathlib.Path.home() / ".cache" / "repro"
 
 
+#: Field names of every dataclass type :func:`_canon` has met.
+_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
+
+
 def _canon(obj: Any) -> Any:
     """Canonical JSON-serialisable form of a settings object.
 
@@ -66,10 +70,16 @@ def _canon(obj: Any) -> Any:
     ``AtomisticBti``) are identified by class name + card — no memory
     addresses or repr artefacts can leak into the key.
     """
+    if obj is None or type(obj) in (bool, int, float, str):
+        return obj  # most calls are leaves
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        names = _FIELD_NAMES.get(type(obj))
+        if names is None:
+            names = tuple(field.name for field in dataclasses.fields(obj))
+            _FIELD_NAMES[type(obj)] = names
         out: Dict[str, Any] = {"__type__": type(obj).__name__}
-        for field in dataclasses.fields(obj):
-            out[field.name] = _canon(getattr(obj, field.name))
+        for name in names:
+            out[name] = _canon(getattr(obj, name))
         return out
     if isinstance(obj, np.ndarray):
         return obj.tolist()
@@ -102,6 +112,30 @@ def canonical_netlist(circuit: Any) -> Dict[str, Any]:
         "isources": [_canon(e) for e in circuit.isources],
         "mosfets": [_canon(e) for e in circuit.mosfets],
     }
+
+
+def _digest(document: Any) -> str:
+    """SHA-256 of a JSON document's canonical (sorted, compact) bytes."""
+    blob = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def fingerprint(obj: Any) -> str:
+    """SHA-256 of ``obj`` canonicalised by :func:`_canon`."""
+    return _digest(_canon(obj))
+
+
+def netlist_fingerprint(circuit: Any) -> str:
+    """SHA-256 of :func:`canonical_netlist` without source waveforms.
+
+    Every read installs its own waveforms into the voltage sources
+    (:func:`~repro.circuits.sense_amp.apply_waveforms`), so they name
+    the last read rather than the circuit; sources keep name and node.
+    """
+    netlist = canonical_netlist(circuit)
+    netlist["vsources"] = [{"name": source.name, "node": source.node}
+                           for source in circuit.vsources]
+    return _digest(netlist)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -161,8 +195,7 @@ class ResultCache:
             "estimator": _canon(estimator),
             "backend": resolve_backend(backend).cache_token(),
         }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+        return _digest(payload)
 
     def key_for_cell(self, cell: Any, *, design: Any = None,
                      settings: Any = None, aging: Any = None,
@@ -328,10 +361,8 @@ class ResultCache:
         dataclasses and numpy values are fine).
         """
         from .. import __version__
-        blob = json.dumps({"salt": CACHE_SALT, "version": __version__,
-                           "doc": _canon(payload)},
-                          sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+        return _digest({"salt": CACHE_SALT, "version": __version__,
+                        "doc": _canon(payload)})
 
     def _doc_path(self, key: str) -> pathlib.Path:
         return self.directory / f"{key}.doc.json"
@@ -339,12 +370,6 @@ class ResultCache:
     def contains_doc(self, key: str) -> bool:
         """Whether a document entry for ``key`` exists on disk."""
         return self._doc_path(key).is_file()
-
-    @staticmethod
-    def _doc_checksum(document: Any) -> str:
-        """SHA-256 of ``document``'s canonical JSON bytes."""
-        blob = json.dumps(document, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
 
     def store_doc(self, key: str, document: Any) -> None:
         """Atomically write a JSON document under ``key``.
@@ -354,7 +379,7 @@ class ResultCache:
         """
         self.directory.mkdir(parents=True, exist_ok=True)
         blob = json.dumps({"doc": document,
-                           "sha256": self._doc_checksum(document)},
+                           "sha256": _digest(document)},
                           sort_keys=True).encode()
         self._atomic_write(self._doc_path(key), lambda fh: fh.write(blob))
         PERF.count("cache.doc_stores")
@@ -374,7 +399,7 @@ class ResultCache:
             blob = path.read_bytes()
             entry = json.loads(blob)
             document = entry["doc"]
-            intact = entry["sha256"] == self._doc_checksum(document)
+            intact = entry["sha256"] == _digest(document)
         except (OSError, ValueError, json.JSONDecodeError, KeyError,
                 TypeError):
             intact = False

@@ -10,7 +10,7 @@ batched transient simulation with a per-sample input level.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -20,7 +20,8 @@ from ..analysis.failure import failure_rate_at, offset_spec
 from ..constants import FAILURE_RATE_TARGET
 from ..models.variation import keyed_rng
 from .rare_event import Estimate, TailEstimate, percentile_ci
-from .testbench import SenseAmpTestbench
+from .testbench import (PERTURBATION_DEFAULT, SenseAmpTestbench,
+                        perturbation_bench)
 
 #: Shortened transient window for resolution-sign checks [s]; the latch
 #: decision is fixed well before the outputs settle to full swing.
@@ -38,14 +39,23 @@ SEARCH_ITERATIONS = 14
 #: grid is finer than the doubles near the range ends anyway.
 MAX_ITERATIONS = 62
 
-#: Guided-search pilot: the first ``PILOT`` samples of a batch are
-#: bisected over the full range and fit the offset predictor.
+#: Guided-search pilot: in a batch of more than ``2 * PILOT`` samples
+#: the first ``PILOT`` are galloped from the probe's prediction and
+#: refit the predictor for the rest of the batch.
 PILOT = 48
 
 #: Shallowest search that takes the guided path.  On a 2-step grid of
-#: 4 cells the gallop saves no read and the pilot costs ~1 % more
-#: sample-steps; from 3 steps on it saves 15 % and more.
+#: 4 cells the gallop saves no read; from 3 steps on it saves 15 % and
+#: more.
 GUIDED_MIN_ITERATIONS = 3
+
+#: Most predictors one process keeps (one per netlist, corner, timing
+#: and read kind); the table is emptied when full.
+PROBE_TABLE_SIZE = 64
+
+#: Process-local predictor table of :func:`_predictor`.  Racing threads
+#: compute the same entry for a key, so its writes need no lock.
+_PROBES: Dict[str, Optional[np.ndarray]] = {}
 
 #: Spawn-key lane of the normal-fit bootstrap (fit-path ``spec_ci``).
 _FIT_BOOT_STREAM = 0x0F17
@@ -301,48 +311,105 @@ def _gallop(grid: _Grid, bench: SenseAmpTestbench,
     return 0.5 * (grid.point(lo) + grid.point(hi))
 
 
-def _guided_search(grid: _Grid, testbench: SenseAmpTestbench,
-                   in_range: np.ndarray,
-                   mask_out_of_range: bool) -> np.ndarray:
-    """Flip thresholds of a large batch via a pilot-fitted predictor.
+def _predictor(testbench: SenseAmpTestbench, names: Tuple[str, ...],
+               grid: _Grid) -> Optional[np.ndarray]:
+    """Slopes and intercept of the flip threshold in the shifts ``names``.
 
-    The first :data:`PILOT` samples are bisected in full; their flip
-    thresholds are least-squares fitted on the per-device Vth shifts
-    plus a constant.  Every other in-range sample is searched by
-    :func:`_gallop` from the grid cell of its prediction, on one
-    sub-testbench; a pilot whose shifts do not span theirs (a repeated
-    sample, say) cannot place them, so they are bisected in full.  A
-    sample whose sign is monotone in the input has one flip cell and
-    every read lands on a grid point, so the result is plain
+    Looked up in a process-local table keyed by the netlist's
+    fingerprint, the corner, the timing, the read kind and ``names``.
+    On a miss one probe bench of ``1 + len(names)`` one-hot samples
+    (:func:`~repro.core.testbench.perturbation_bench`) is bisected over
+    the default grid and its flips give the coefficients, one slope per
+    device plus a constant.  ``None`` when a probe sample is out of
+    range.  The predictor only picks where each search starts, so a
+    stale or poor one costs reads and never moves a result.
+    """
+    from .cache import fingerprint, netlist_fingerprint
+    key = fingerprint({"netlist": netlist_fingerprint(
+                           testbench.design.circuit),
+                       "env": testbench.env, "timing": testbench.timing,
+                       "swapped": grid.swapped,
+                       "t_window": grid.t_window, "devices": names})
+    try:
+        return _PROBES[key]
+    except KeyError:
+        pass
+    PERF.count("offset.probes")
+    probe = perturbation_bench(testbench.design, testbench.env, names,
+                               timing=testbench.timing,
+                               newton=testbench.newton,
+                               early_decision=testbench.early_decision,
+                               backend=testbench.backend)
+    flip = -extract_offsets(probe, swapped=grid.swapped,
+                            t_window=grid.t_window)
+    coef = np.append((flip[1:] - flip[0]) / PERTURBATION_DEFAULT, flip[0])
+    if not np.isfinite(coef).all():
+        coef = None
+    if len(_PROBES) >= PROBE_TABLE_SIZE:
+        _PROBES.clear()
+    _PROBES[key] = coef
+    return coef
+
+
+def _search(grid: _Grid, testbench: SenseAmpTestbench, index: np.ndarray,
+            features: np.ndarray, coef: Optional[np.ndarray]) -> np.ndarray:
+    """Flip thresholds of the in-range samples ``index`` (sorted), on
+    one sub-testbench: galloped from the grid cell ``features @ coef``
+    predicts, or bisected in full without a predictor."""
+    if not index.size:
+        return np.empty(0)
+    # With every sample in range the bench itself serves: its seeds are
+    # forgotten, so it reads as a fresh copy would.
+    bench = (testbench if index.size == testbench.batch_size
+             else _sub_bench(testbench, index))
+    if coef is None:
+        return _full_range(grid, bench)
+    PERF.count("offset.guided_samples", index.size)
+    step = 2.0 * grid.search_range / grid.cells
+    cell = np.floor((features[index] @ coef + grid.search_range) / step)
+    return _gallop(grid, bench, cell)
+
+
+def _guided_search(grid: _Grid, testbench: SenseAmpTestbench,
+                   names: Tuple[str, ...],
+                   in_range: np.ndarray) -> np.ndarray:
+    """Flip thresholds of the in-range samples, each galloped from a
+    linear prediction of its flip cell.
+
+    The prediction is the per-device Vth shifts ``names`` plus a
+    constant, weighted by the cached probe's coefficients
+    (:func:`_predictor`).  A batch of more than ``2 * PILOT`` samples
+    gallops its first :data:`PILOT` samples from the probe, refits the
+    coefficients by least squares on their exact flips, and gallops the
+    rest from that batch-specific fit; a pilot whose shifts do not span
+    the rest (a repeated sample, say) cannot place them, so they are
+    bisected in full.  A smaller batch gallops every sample from the
+    probe.  A sample whose sign is monotone in the input has one flip
+    cell and every read lands on a grid point, so the result is plain
     bisection's, bit for bit, however far off the prediction is; a
     sample ``d`` cells off costs about ``2*log2(d) + 2`` reads.
     """
     batch = testbench.batch_size
+    shifts = testbench.system.vth_shifts()
+    features = np.column_stack([shifts[name] for name in names]
+                               + [np.ones(batch)])
+    coef = _predictor(testbench, names, grid)
     flip = np.full(batch, np.nan)
-    pilot = np.arange(PILOT)
-    flip[pilot] = _full_range(grid, _sub_bench(testbench, pilot),
-                              in_range[pilot] if mask_out_of_range
-                              else None)
+    if batch <= 2 * PILOT:
+        guided = np.flatnonzero(in_range)
+        flip[guided] = _search(grid, testbench, guided, features, coef)
+        return flip
 
-    shifts = [shift for shift in testbench.system.vth_shifts().values()
-              if isinstance(shift, np.ndarray) and shift.ndim]
-    features = np.column_stack(shifts + [np.ones(batch)])
-    fitted = pilot[in_range[pilot]]
-    coef, _, rank, _ = np.linalg.lstsq(features[fitted], flip[fitted],
-                                       rcond=None)
-
+    pilot = np.flatnonzero(in_range[:PILOT])
+    flip[pilot] = _search(grid, testbench, pilot, features, coef)
     guided = PILOT + np.flatnonzero(in_range[PILOT:])
     if not guided.size:
         return flip
-    bench = _sub_bench(testbench, guided)
+    coef, _, rank, _ = np.linalg.lstsq(features[pilot], flip[pilot],
+                                       rcond=None)
     if rank < np.linalg.matrix_rank(features[guided]):
-        # The pilot does not span the samples it would place.
-        flip[guided] = _full_range(grid, bench)
-        return flip
-    PERF.count("offset.guided_samples", guided.size)
-    step = 2.0 * grid.search_range / grid.cells
-    cell = np.floor((features[guided] @ coef + grid.search_range) / step)
-    flip[guided] = _gallop(grid, bench, cell)
+        coef = None  # the pilot does not span the samples it would place
+    flip[guided] = _search(grid, testbench, guided, features, coef)
     return flip
 
 
@@ -362,11 +429,14 @@ def extract_offsets(testbench: SenseAmpTestbench,
     never spends Newton iterations on samples whose result is already
     known to be NaN.
 
-    Batches larger than ``2 * PILOT`` searched for at least
-    :data:`GUIDED_MIN_ITERATIONS` iterations take the guided search:
-    every sample past a fully bisected pilot gallops outward from its
-    predicted grid cell (see :func:`_guided_search`).  Its results equal
-    plain bisection's bit for bit.
+    A batch with ``D`` array-valued Vth shifts takes the guided search
+    when it holds more than ``D + 1`` samples and is searched for at
+    least :data:`GUIDED_MIN_ITERATIONS` iterations: every in-range
+    sample gallops outward from a predicted grid cell, seeded by a
+    per-netlist probe that is paid once per process (see
+    :func:`_guided_search`).  Its results equal plain bisection's bit
+    for bit.  Smaller batches, such as the probe itself, bisect the
+    full range.
 
     Sign convention follows the paper's figures: the offset voltage is
     the *extra input the SA demands*, so aging that favours reading 1
@@ -392,12 +462,15 @@ def extract_offsets(testbench: SenseAmpTestbench,
     PERF.count("offset.samples", batch)
     PERF.count("offset.samples_out_of_range", int(batch - in_range.sum()))
 
-    if batch > 2 * PILOT and iterations >= GUIDED_MIN_ITERATIONS:
+    names = tuple(name for name, shift
+                  in testbench.system.vth_shifts().items()
+                  if isinstance(shift, np.ndarray) and shift.ndim)
+    if (iterations >= GUIDED_MIN_ITERATIONS and names
+            and batch > len(names) + 1):
         # No sign read on this bench follows: free the endpoint seed,
         # which pins the whole 2x-batch state history.
         testbench.forget_trajectories()
-        flip = _guided_search(grid, testbench, in_range,
-                              mask_out_of_range)
+        flip = _guided_search(grid, testbench, names, in_range)
     else:
         flip = _full_range(grid, testbench, active)
     return np.where(in_range, -flip, np.nan)

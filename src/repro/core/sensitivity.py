@@ -24,11 +24,7 @@ import numpy as np
 from ..circuits.sense_amp import ReadTiming, SenseAmpDesign
 from ..models.temperature import Environment
 from .offset import extract_offsets
-from .testbench import SenseAmpTestbench
-
-#: Default perturbation magnitude [V]; large enough to dominate the
-#: bisection resolution, small enough to stay in the linear regime.
-PERTURBATION_DEFAULT = 0.02
+from .testbench import PERTURBATION_DEFAULT, perturbation_bench
 
 
 @dataclasses.dataclass(frozen=True)
@@ -95,18 +91,10 @@ def measure_sensitivities(design: SenseAmpDesign, env: Environment,
         raise ValueError("perturbation must be positive")
     names = list(devices if devices is not None
                  else design.circuit.mosfet_ratios())
-    batch = len(names) + 1
-    bench = SenseAmpTestbench(design, env, batch_size=batch,
-                              timing=timing)
-    shifts = {}
-    for index, name in enumerate(names):
-        arr = np.zeros(batch)
-        arr[index + 1] = perturbation
-        shifts[name] = arr
-    bench.set_vth_shifts(shifts)
-
+    bench = perturbation_bench(design, env, names, perturbation,
+                               timing=timing)
     offsets = extract_offsets(bench, iterations=offset_iterations)
-    delays = bench.sensing_delay(np.full(batch, delay_vin))
+    delays = bench.sensing_delay(np.full(bench.batch_size, delay_vin))
     bench.clear_vth_shifts()
 
     offset_sens = {name: float((offsets[i + 1] - offsets[0])

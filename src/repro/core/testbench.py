@@ -13,6 +13,7 @@ so characterisation code can fire batched read operations and measure:
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -55,12 +56,32 @@ DELAY_DECISION_FRAC = 0.6
 #: trajectory that latched the other way is rejected per sample.
 GUESS_GATE = 0.2
 
+#: Ceiling on the sample-steps (time steps x samples) of one transient
+#: batch.  Each costs ~200 B of known-column table, state ring and
+#: probes, so this is ~1 GB; a 1e-18 s step would ask for far more.
+MAX_BATCH_SAMPLE_STEPS = 1 << 22
+
+#: Default one-hot Vth perturbation [V]; large enough to dominate the
+#: bisection resolution, small enough to stay in the linear regime.
+PERTURBATION_DEFAULT = 0.02
+
 #: Transient Newton ``vtol`` multiplier.  Trajectory seeds and
 #: extrapolated guesses move Newton's starting point, so the transient
 #: solves run under a tightened tolerance; results then agree with a
 #: cold start to within the documented tolerance contract (see
 #: docs/simulator.md).
 VTOL_FACTOR = 0.1
+
+
+def check_batch_steps(samples: int, timing: ReadTiming) -> None:
+    """Refuse a batch of ``samples`` whose full read window at
+    ``timing.dt`` would pass :data:`MAX_BATCH_SAMPLE_STEPS`."""
+    steps = math.ceil(timing.t_window / timing.dt)
+    if steps * samples > MAX_BATCH_SAMPLE_STEPS:
+        raise ValueError(
+            f"dt={timing.dt:g} s gives {steps} steps x {samples} samples "
+            f"per transient batch, past the {MAX_BATCH_SAMPLE_STEPS} "
+            f"sample-step ceiling; raise dt or lower chunk_size")
 
 
 def default_probes(design: SenseAmpDesign) -> Tuple[str, ...]:
@@ -343,3 +364,25 @@ class SenseAmpTestbench:
         t_outbar = crossing_time(result.times, result.probe(out_b), half,
                                  rising=True, t_min=t_trigger)
         return np.fmin(t_out, t_outbar) - t_trigger
+
+
+def perturbation_bench(design: SenseAmpDesign, env: Environment,
+                       devices: Sequence[str],
+                       perturbation: float = PERTURBATION_DEFAULT,
+                       **bench_kwargs) -> SenseAmpTestbench:
+    """A ``1 + len(devices)``-sample bench of one-hot Vth shifts.
+
+    Sample 0 is unshifted; sample ``i + 1`` shifts ``devices[i]`` alone
+    by ``+perturbation``, so one batched measurement gives every
+    device's first-order sensitivity.  ``bench_kwargs`` go to
+    :class:`SenseAmpTestbench`.
+    """
+    batch = len(devices) + 1
+    bench = SenseAmpTestbench(design, env, batch_size=batch,
+                              **bench_kwargs)
+    shifts = {}
+    for index, name in enumerate(devices):
+        shifts[name] = np.zeros(batch)
+        shifts[name][index + 1] = perturbation
+    bench.set_vth_shifts(shifts)
+    return bench

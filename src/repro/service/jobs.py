@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from typing import Any, Dict, Optional, Tuple, Union
 
 from ..validation import require_bool, require_finite, require_int
@@ -48,11 +47,6 @@ TERMINAL = (DONE, FAILED, CANCELLED)
 
 #: Every valid state (for validation at the API boundary).
 STATES = (PENDING, RUNNING, DONE, FAILED, CANCELLED)
-
-#: Ceiling on the sample-steps (time steps x samples) of one transient
-#: batch.  Each costs ~200 B of known-column table, state ring and
-#: probes, so this is ~1 GB; a 1e-18 s step would ask for far more.
-MAX_BATCH_SAMPLE_STEPS = 1 << 22
 
 
 @dataclasses.dataclass(frozen=True)
@@ -109,18 +103,14 @@ class JobRequest:
         """Refuse a ``dt`` the transient cannot resolve or hold.
 
         ``ReadTiming`` refuses a step too coarse for the enable rise;
-        the batch's sample-step ceiling is checked here.
+        :func:`~repro.core.testbench.check_batch_steps` refuses a
+        chunk past the sample-step ceiling.
         """
         from ..circuits.sense_amp import ReadTiming
-        timing = ReadTiming(dt=self.dt)
+        from ..core.testbench import check_batch_steps
         batch = self.mc if self.chunk_size is None else min(
             self.mc, self.chunk_size)
-        steps = math.ceil(timing.t_window / self.dt)
-        if steps * batch > MAX_BATCH_SAMPLE_STEPS:
-            raise ValueError(
-                f"dt={self.dt:g} s gives {steps} steps x {batch} samples "
-                f"per transient batch, past the {MAX_BATCH_SAMPLE_STEPS} "
-                f"sample-step ceiling; raise dt or lower chunk_size")
+        check_batch_steps(batch, ReadTiming(dt=self.dt))
 
     def to_cell(self):
         """The :class:`~repro.core.experiment.ExperimentCell` to run.
@@ -382,9 +372,11 @@ class ArrayRequest(EngineRequest):
     schemes: Tuple[str, ...] = ("nssa", "issa")
 
     def _parse(self):
+        from ..array.engine import group_columns
         from ..array.spec import ArraySpec, validate_schemes
-        return (ArraySpec.from_dict(self.spec),
-                validate_schemes(self.schemes))
+        spec = ArraySpec.from_dict(self.spec)
+        group_columns(spec, self.chunk_size)
+        return spec, validate_schemes(self.schemes)
 
     @staticmethod
     def _engine():

@@ -1,11 +1,16 @@
 """The guided offset search equals plain bisection, bit for bit.
 
-``extract_offsets`` searches every sample past a fully bisected pilot
-outward from a linear prediction of its flip cell.  Each case below
-runs a population large enough to take that path and compares it with
-plain full-range bisection of the same population on a fresh bench
-(the guided path switched off by raising ``PILOT``).
+``extract_offsets`` searches every in-range sample outward from a
+linear prediction of its flip cell, seeded by a probe cached per
+netlist.  Each case below runs a population large enough to take that
+path and compares it with plain full-range bisection of the same
+population on a fresh bench (the guided path switched off by raising
+``GUIDED_MIN_ITERATIONS`` past any search depth).  Every test starts
+from an empty predictor table.
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -14,15 +19,25 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis.perf import PERF
 from repro.circuits.sense_amp import ReadTiming
 from repro.core import offset
+from repro.core.cache import ResultCache
 from repro.core.calibration import default_aging_model
 from repro.core.experiment import ExperimentCell, build_design, run_cell
 from repro.core.montecarlo import McSettings, sample_total_shifts
 from repro.core.testbench import SenseAmpTestbench
 from repro.models import Environment, MismatchModel
+from repro.service import Client, JobRequest, Service
 from repro.workloads import paper_workload
 
 TIMING = ReadTiming(dt=1e-12)
 BATCH = 128
+
+#: Array-valued shifts of a Monte-Carlo population: one per device.
+DEVICES = len(build_design("nssa").circuit.mosfets)
+
+
+@pytest.fixture(autouse=True)
+def empty_probe_table(monkeypatch):
+    monkeypatch.setattr(offset, "_PROBES", {})
 
 
 def population(scheme="nssa", workload=None, time_s=0.0, temp_c=25.0,
@@ -51,7 +66,8 @@ def guided_and_plain(monkeypatch, design, env, shifts, **kwargs):
     guided = offset.extract_offsets(bench(design, env, shifts), **kwargs)
     counters = dict(PERF.snapshot()["counters"])
     with monkeypatch.context() as patch:
-        patch.setattr(offset, "PILOT", 10 ** 9)
+        patch.setattr(offset, "GUIDED_MIN_ITERATIONS",
+                      offset.MAX_ITERATIONS + 1)
         plain = offset.extract_offsets(bench(design, env, shifts),
                                        **kwargs)
     return guided, plain, counters
@@ -63,8 +79,8 @@ def assert_bitwise(guided, plain):
 
 
 def assert_accounted(guided, counters):
-    """Every in-range sample past the pilot took the gallop."""
-    candidates = int(np.isfinite(guided[offset.PILOT:]).sum())
+    """Every in-range sample took the gallop."""
+    candidates = int(np.isfinite(guided).sum())
     assert counters.get("offset.guided_samples", 0) == candidates
 
 
@@ -107,8 +123,9 @@ def test_scaled_mismatch(monkeypatch):
 
 
 def test_poor_pilot_fit_forces_misses(monkeypatch):
-    """A pilot of one repeated sample cannot fit the slopes: its shifts
-    span one direction, so the other samples are bisected in full."""
+    """A pilot of one repeated sample cannot refit the slopes: its
+    shifts span one direction, so only the pilot gallops (from the
+    probe) and the other samples are bisected in full."""
     design, env, shifts = population("nssa")
     flat = {name: value.copy() for name, value in shifts.items()}
     for value in flat.values():
@@ -116,9 +133,9 @@ def test_poor_pilot_fit_forces_misses(monkeypatch):
     guided, plain, counters = guided_and_plain(monkeypatch, design, env,
                                                flat)
     assert_bitwise(guided, plain)
-    assert "offset.guided_samples" not in counters
-    assert (counters["offset.bisection_iterations"]
-            == 2 * offset.SEARCH_ITERATIONS)
+    pilot = int(np.isfinite(guided[:offset.PILOT]).sum())
+    assert pilot > 0
+    assert counters["offset.guided_samples"] == pilot
 
 
 def test_out_of_range_samples_stay_nan(monkeypatch):
@@ -144,14 +161,16 @@ def test_non_dyadic_search_range(monkeypatch):
 
 @pytest.mark.parametrize("size,iterations", [
     (BATCH, offset.GUIDED_MIN_ITERATIONS - 1),
-    (2 * offset.PILOT, offset.SEARCH_ITERATIONS),
+    (DEVICES + 1, offset.SEARCH_ITERATIONS),
 ])
 def test_small_inputs_take_the_full_range(monkeypatch, size, iterations):
+    """Too shallow a search, or no more samples than a probe has."""
     guided, plain, counters = guided_and_plain(
         monkeypatch, *population("nssa", size=size),
         iterations=iterations)
     assert_bitwise(guided, plain)
     assert "offset.guided_samples" not in counters
+    assert "offset.probes" not in counters
     assert counters["offset.bisection_iterations"] == iterations
 
 
@@ -239,3 +258,123 @@ def test_run_cell_chunking_is_bitwise(chunk_size):
     np.testing.assert_array_equal(chunked.offset.offsets,
                                   whole.offset.offsets)
     assert chunked.offset.spec == whole.offset.spec
+
+
+# -- the cached predictor ------------------------------------------------
+
+def poison_probes():
+    """Negate every cached slope and move every intercept by 0.2 V."""
+    assert offset._PROBES
+    for coef in offset._PROBES.values():
+        coef[:-1] = -coef[:-1]
+        coef[-1] += 0.2
+
+
+@pytest.mark.parametrize("size", [16, BATCH])
+def test_poisoned_predictor_stays_exact(monkeypatch, size):
+    """A predictor pointing the wrong way costs reads, not bits: a
+    small batch gallops every sample from it, a large one its pilot."""
+    design, env, shifts = population("nssa", "80r0", 1e8, size=size,
+                                     seed=2018)
+    offset.extract_offsets(bench(design, env, shifts))
+    poison_probes()
+    guided, plain, counters = guided_and_plain(monkeypatch, design, env,
+                                               shifts)
+    assert_bitwise(guided, plain)
+    assert "offset.probes" not in counters
+    assert_accounted(guided, counters)
+
+
+def test_small_batch_gallops_from_the_probe(monkeypatch):
+    design, env, shifts = population("issa", size=16)
+    guided, plain, counters = guided_and_plain(monkeypatch, design, env,
+                                               shifts)
+    assert_bitwise(guided, plain)
+    assert counters["offset.probes"] == 1
+    assert_accounted(guided, counters)
+
+
+MC16 = McSettings(size=16, seed=2017, mismatch=MismatchModel())
+TABLE2_WORKLOADS = ("80r0", "80r1", "80r0r1", "20r0", "20r1")
+
+
+def test_one_probe_per_netlist_and_corner():
+    """Ten mc-16 cells of one scheme and corner probe once; the ISSA,
+    another netlist, probes once more."""
+    cells = [ExperimentCell("nssa", paper_workload(name), time_s)
+             for name in TABLE2_WORKLOADS for time_s in (1e7, 1e8)]
+    PERF.reset()
+    for cell in cells:
+        run_cell(cell, settings=MC16, timing=TIMING, measure_delay=False)
+    counters = PERF.snapshot()["counters"]
+    assert counters["offset.probes"] == 1
+    assert counters["offset.guided_samples"] > 0
+    run_cell(ExperimentCell("issa", paper_workload("80r0"), 1e8),
+             settings=MC16, timing=TIMING, measure_delay=False)
+    assert PERF.snapshot()["counters"]["offset.probes"] == 2
+
+
+def test_probe_enters_no_key_or_result(tmp_path):
+    """A warm predictor table changes neither the cache key nor the
+    offsets of a cell."""
+    cell = ExperimentCell("nssa", paper_workload("80r1"), 1e8)
+    cache = ResultCache(tmp_path)
+    kwargs = dict(settings=MC16, timing=TIMING)
+    key = cache.key_for_cell(cell, **kwargs)
+    cold = run_cell(cell, measure_delay=False, **kwargs)
+    assert offset._PROBES
+    assert cache.key_for_cell(cell, **kwargs) == key
+    warm = run_cell(cell, measure_delay=False, **kwargs)
+    np.testing.assert_array_equal(warm.offset.offsets, cold.offset.offsets)
+
+
+def test_service_job_gallops_from_the_probe(tmp_path):
+    """In-thread service jobs share the process's predictor table."""
+    fields = dict(scheme="nssa", time_s=1e8, mc=16, seed=2017, dt=1e-12,
+                  measure_delay=False)
+    with Service(directory=tmp_path, autostart=False) as service:
+        client = Client(service)
+        first = client.submit(JobRequest(workload="80r0", **fields))
+        client.wait(first, timeout=120)
+        PERF.reset()
+        second = client.submit(JobRequest(workload="20r1", **fields))
+        client.wait(second, timeout=120)
+    counters = PERF.snapshot()["counters"]
+    assert counters["cell.runs"] == 1
+    assert "offset.probes" not in counters
+    assert counters["offset.guided_samples"] > 0
+
+
+def test_racing_threads_share_one_predictor(monkeypatch):
+    """Threads that miss the table together each probe, write the same
+    entry and keep plain bisection's offsets."""
+    design, env, shifts = population("nssa", size=16)
+    with monkeypatch.context() as patch:
+        patch.setattr(offset, "GUIDED_MIN_ITERATIONS",
+                      offset.MAX_ITERATIONS + 1)
+        plain = offset.extract_offsets(bench(design, env, shifts))
+    results = {}
+
+    def extract(index):
+        design, env, shifts = population("nssa", size=16)
+        results[index] = offset.extract_offsets(bench(design, env, shifts))
+
+    threads = [threading.Thread(target=extract, args=(index,))
+               for index in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(results) == [0, 1, 2, 3]
+    for guided in results.values():
+        assert_bitwise(guided, plain)
+    (coef,) = offset._PROBES.values()
+    offset._PROBES.clear()
+    offset.extract_offsets(bench(design, env, shifts))
+    np.testing.assert_array_equal(coef, *offset._PROBES.values())

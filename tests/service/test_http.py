@@ -317,6 +317,7 @@ MALFORMED_ARRAYS = [
     ("request", "workers", True),
     ("request", "chunk_size", 1.5),
     ("spec", "offset_iterations", 63),
+    ("spec", "mc", 100000),
 ]
 
 
@@ -347,6 +348,11 @@ class TestMalformedFleetAndArrayJobs:
     def test_array_submit_is_400(self, server):
         assert_submit_refused(server[0], array_fields("spec", "times_s",
                                                       [0.0, NAN]))
+
+    def test_array_past_the_step_ceiling_is_400(self, server):
+        doc = array_fields("request", "chunk_size", 64)
+        doc["spec"].update(columns=64, mc=100000)
+        assert_submit_refused(server[0], doc)
 
     @pytest.mark.parametrize("doc", [
         fleet_fields("spec", "temps_c", [[-300.0, 1.0]]),

@@ -221,6 +221,20 @@ def test_cell_step_ceiling_counts_the_batch():
     dataclasses.replace(request, chunk_size=100).validate()
 
 
+def test_array_step_ceiling_counts_the_packed_group():
+    """An array job's transient batch is a packed column group, so the
+    same ceiling applies to columns per group x mc."""
+    huge = ArrayRequest(spec={"rows": 64, "columns": 64, "mc": 100000},
+                        chunk_size=64)
+    with pytest.raises(ValueError, match="sample-step ceiling"):
+        huge.validate()
+    packed = ArrayRequest(spec={"rows": 64, "columns": 64, "mc": 1000},
+                          chunk_size=64)
+    with pytest.raises(ValueError, match="lower chunk_size"):
+        packed.validate()
+    dataclasses.replace(packed, chunk_size=8).validate()
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="unknown request kind"):
         request_from_dict({"kind": "teleport"})

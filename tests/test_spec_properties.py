@@ -5,16 +5,22 @@ Every valid :class:`FleetSpec`, :class:`MitigationPolicy` and
 unchanged, and so do the service requests built from them.  Every
 malformed numeric field of such a document — non-finite, a negative
 weight, a temperature at or below absolute zero, a boolean or a
-fractional count — is refused with ``ValueError``.
+fractional count — is refused with ``ValueError``, and so is an array
+request whose packed column group passes the sample-step ceiling.
 """
 
+import dataclasses
 import json
+import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from repro.array.engine import PACK_SAMPLES
 from repro.array.spec import ArraySpec
+from repro.circuits.sense_amp import ReadTiming
 from repro.core.offset import MAX_ITERATIONS
+from repro.core.testbench import MAX_BATCH_SAMPLE_STEPS
 from repro.fleet.spec import FleetSpec, MitigationPolicy
 from repro.service.jobs import (ArrayRequest, FleetRequest,
                                 request_from_dict)
@@ -23,6 +29,9 @@ WORKLOADS = ("80r0r1", "80r0", "80r1", "20r0r1", "20r0", "20r1")
 NON_FINITE = (float("nan"), float("inf"), float("-inf"))
 
 PROPERTY = settings(max_examples=60, deadline=None)
+
+#: Time steps of one array read (default ``ReadTiming``).
+ARRAY_STEPS = math.ceil(ReadTiming().t_window / ReadTiming().dt)
 
 weights = st.floats(min_value=0.1, max_value=10.0)
 temps = st.floats(min_value=-200.0, max_value=200.0)
@@ -132,12 +141,33 @@ class TestRoundTrip:
            schemes=st.sampled_from((("nssa",), ("nssa", "issa"),
                                     ("issa", "nssa"))),
            chunk_size=st.one_of(st.none(), st.integers(1, 64)))
-    def test_array_request(self, spec, schemes, chunk_size):
+    def test_array_request_within_the_ceiling(self, spec, schemes,
+                                              chunk_size):
+        group = min(chunk_size or max(1, PACK_SAMPLES // spec.mc),
+                    spec.columns)
+        assume(group * spec.mc * ARRAY_STEPS <= MAX_BATCH_SAMPLE_STEPS)
         request = ArrayRequest(spec=spec.to_dict(), schemes=schemes,
                                chunk_size=chunk_size)
         again = request_from_dict(wire(request.to_dict()))
         assert again == request
         assert again.validate() == (spec, schemes)
+
+    @PROPERTY
+    @given(spec=array_specs(),
+           chunk_size=st.one_of(st.none(), st.integers(1, 64)),
+           data=st.data())
+    def test_array_request_past_the_ceiling(self, spec, chunk_size, data):
+        """Columns per group x mc x steps past the ceiling is refused;
+        an mc that large packs one column per group by default."""
+        group = min(chunk_size or 1, spec.columns)
+        floor = MAX_BATCH_SAMPLE_STEPS // (ARRAY_STEPS * group) + 1
+        spec = dataclasses.replace(
+            spec, mc=data.draw(st.integers(floor, 4 * floor)))
+        request = ArrayRequest(spec=spec.to_dict(), chunk_size=chunk_size)
+        again = request_from_dict(wire(request.to_dict()))
+        assert again == request
+        with pytest.raises(ValueError, match="sample-step ceiling"):
+            again.validate()
 
 
 FLEET_COUNTS = ("n_devices", "seed", "block_size", "phases_per_year",
