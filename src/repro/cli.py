@@ -38,6 +38,7 @@ content-addressed store under ``$REPRO_CACHE_DIR`` / ``~/.cache/repro``
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from typing import List, Optional
 
@@ -68,6 +69,16 @@ def _time_step(text: str) -> float:
         return ReadTiming(dt=float(text)).dt
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+@contextlib.contextmanager
+def _usage_errors(args):
+    """Report a ``ValueError`` raised while building a run's spec and
+    engine as a usage error of its subcommand: exit 2 with the rule."""
+    try:
+        yield
+    except ValueError as exc:
+        args.parser.error(str(exc))
 
 
 def _add_mc_args(parser: argparse.ArgumentParser) -> None:
@@ -514,30 +525,31 @@ def cmd_fleet(args) -> int:
 
     from .fleet import FleetEngine, FleetSpec, MitigationPolicy
 
-    spec_kwargs = dict(n_devices=args.devices, seed=args.seed,
-                       block_size=args.block_size,
-                       years=tuple(float(y) for y
-                                   in args.years.split(",")),
-                       phases_per_year=args.phases_per_year,
-                       reads_per_phase=args.reads_per_phase,
-                       swing_mv=args.swing_mv)
-    if args.temp is not None:
-        spec_kwargs["temps_c"] = ((args.temp, 1.0),)
-    if args.vdd is not None:
-        spec_kwargs["vdds"] = ((args.vdd, 1.0),)
-    spec = FleetSpec(**spec_kwargs)
-    policies = []
-    for scheme in args.policies.split(","):
-        scheme = scheme.strip()
-        policies.append(MitigationPolicy(
-            scheme=scheme,
-            residual_imbalance=(args.residual_imbalance
-                                if scheme == "issa" else 0.0),
-            rejuvenation_interval_years=args.rejuvenation_years,
-            rejuvenation_phases=args.rejuvenation_phases,
-            guardband_trim=args.guardband_trim))
-    engine = FleetEngine(spec, workers=args.workers or None,
-                         chunk_size=args.chunk_size)
+    with _usage_errors(args):
+        spec_kwargs = dict(n_devices=args.devices, seed=args.seed,
+                           block_size=args.block_size,
+                           years=tuple(float(y) for y
+                                       in args.years.split(",")),
+                           phases_per_year=args.phases_per_year,
+                           reads_per_phase=args.reads_per_phase,
+                           swing_mv=args.swing_mv)
+        if args.temp is not None:
+            spec_kwargs["temps_c"] = ((args.temp, 1.0),)
+        if args.vdd is not None:
+            spec_kwargs["vdds"] = ((args.vdd, 1.0),)
+        spec = FleetSpec(**spec_kwargs)
+        policies = []
+        for scheme in args.policies.split(","):
+            scheme = scheme.strip()
+            policies.append(MitigationPolicy(
+                scheme=scheme,
+                residual_imbalance=(args.residual_imbalance
+                                    if scheme == "issa" else 0.0),
+                rejuvenation_interval_years=args.rejuvenation_years,
+                rejuvenation_phases=args.rejuvenation_phases,
+                guardband_trim=args.guardband_trim))
+        engine = FleetEngine(spec, workers=args.workers or None,
+                             chunk_size=args.chunk_size)
     report = engine.compare(policies)
     print(f"fleet: {spec.n_devices} devices, "
           f"{spec.phases_per_year} phases/year, "
@@ -571,9 +583,9 @@ def _int_list(text: str, name: str) -> List[int]:
     try:
         values = [int(part) for part in str(text).split(",") if part]
     except ValueError:
-        raise SystemExit(f"bad {name} list: {text!r}")
+        raise ValueError(f"bad {name} list: {text!r}") from None
     if not values:
-        raise SystemExit(f"empty {name} list")
+        raise ValueError(f"empty {name} list")
     return values
 
 
@@ -595,15 +607,17 @@ def cmd_array(args) -> int:
     from .array import ArrayEngine
     from .array.spec import validate_schemes
 
-    schemes = validate_schemes(
-        s.strip() for s in args.schemes.split(","))
-    specs = [_array_spec(args, rows, columns)
-             for rows in _int_list(args.rows, "rows")
-             for columns in _int_list(args.columns, "columns")]
-    reports = [ArrayEngine(spec, workers=args.workers or None,
-                           chunk_size=args.chunk_size,
-                           backend=args.backend).compare(schemes)
-               for spec in specs]
+    with _usage_errors(args):
+        schemes = validate_schemes(
+            s.strip() for s in args.schemes.split(","))
+        specs = [_array_spec(args, rows, columns)
+                 for rows in _int_list(args.rows, "rows")
+                 for columns in _int_list(args.columns, "columns")]
+        engines = [ArrayEngine(spec, workers=args.workers or None,
+                               chunk_size=args.chunk_size,
+                               backend=args.backend)
+                   for spec in specs]
+    reports = [engine.compare(schemes) for engine in engines]
 
     for spec, report in zip(specs, reports):
         geometry = report["geometry"]
@@ -884,7 +898,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(tightens the offset spec)")
     p.add_argument("--json", default=None, metavar="PATH",
                    help="also write the full comparison report as JSON")
-    p.set_defaults(func=cmd_fleet)
+    p.set_defaults(func=cmd_fleet, parser=p)
 
     p = sub.add_parser("array",
                        help="bank-level array characterisation: "
@@ -931,7 +945,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", choices=_backends(), default=None)
     p.add_argument("--json", default=None, metavar="PATH",
                    help="also write the full report(s) as JSON")
-    p.set_defaults(func=cmd_array)
+    p.set_defaults(func=cmd_array, parser=p)
 
     p = sub.add_parser("workloads", help="list the paper's workloads")
     p.set_defaults(func=cmd_workloads)

@@ -14,7 +14,8 @@ offset assembly) vectorised across the whole block's trap population.
 It applies the elementwise kernels of the public
 :func:`repro.aging.occupancy.ac_occupancy` to the same values in the
 same order per trap, and sums each device's traps with ``np.bincount``,
-which accumulates sequentially in element order; so its offsets are
+which accumulates sequentially in element order, over slices of whole
+devices so that no device's sum is ever split; so its offsets are
 **bitwise identical** to chaining ``ac_occupancy`` one device at a
 time (``tests/fleet`` pins this on one block's draws, and
 ``tests/golden`` pins a whole fleet document).
@@ -255,7 +256,7 @@ def block_draws(spec: FleetSpec, policy: MitigationPolicy,
 #: their steady state only at checkpoints.
 FAST_TRAP_EXPONENT = 746.0
 
-#: Traps per slice of the occupancy walk.  A slice's five working
+#: Live traps per slice of the occupancy walk.  A slice's five working
 #: arrays (~650 kB) stay in cache while it marches through every phase;
 #: a whole lane's (~10 MB) would stream from memory on every pass.
 WALK_SLICE = 16384
@@ -266,35 +267,52 @@ def _lane_shifts_vector(lane: _TrapLane, duty: np.ndarray,
                         size: int) -> List[np.ndarray]:
     """Per-checkpoint dVth (size,) with all traps propagated at once.
 
-    The live traps are walked in slices of :data:`WALK_SLICE`, each
-    through every phase, on ``min(cpu_slots(), slices)`` threads
-    (numpy releases the GIL inside the ufuncs).  A pool worker or a
-    service consumer holding a one-slot share walks on its own thread.
+    The lane's devices are cut into slices of whole devices holding
+    about :data:`WALK_SLICE` live traps each (a device with more is
+    never split).  Each slice is one task: it splits its traps into
+    live and fast, walks the live ones through every phase and, at each
+    checkpoint, sums its devices' occupied traps into their columns of
+    the result.  Every device's traps stay in one slice in their
+    original order, so each per-device ``bincount`` is the same
+    sequential fold as over the whole lane.  Slices run on
+    ``min(cpu_slots(), slices)`` threads (numpy releases the GIL inside
+    the ufuncs); a pool worker or a service consumer holding a one-slot
+    share runs them on its own thread.
     """
-    total = lane.tau_e.size
     k_e = 1.0 / lane.tau_e
-    fast = k_e * phase_s >= FAST_TRAP_EXPONENT
-    idx_live = np.nonzero(~fast)[0]
-    idx_fast = np.nonzero(fast)[0]
-    owner_l = lane.owner[idx_live]
-    tc_l = lane.tau_c_eff[idx_live]
-    ke_l = k_e[idx_live]
-    live = idx_live.size
+    live = k_e * phase_s < FAST_TRAP_EXPONENT
+    # Live traps ahead of each device boundary; cut at the first
+    # boundary reaching each multiple of WALK_SLICE.
+    live_before = np.searchsorted(np.flatnonzero(live), lane.starts)
+    cuts = np.searchsorted(live_before, np.arange(
+        WALK_SLICE, live_before[-1], WALK_SLICE))
+    bounds = np.unique(np.concatenate(([0], cuts, [size]))).tolist()
     marks = {phase: mark for mark, phase in enumerate(checkpoints)}
-    prob_at = np.empty((len(checkpoints), live))
+    shifts = np.zeros((len(checkpoints), size))
 
-    def walk(lo: int, hi: int) -> None:
-        owner, tc, ke = owner_l[lo:hi], tc_l[lo:hi], ke_l[lo:hi]
-        prob = np.zeros(hi - lo)
-        g = np.empty(hi - lo)
-        kc = np.empty(hi - lo)
-        tot = np.empty(hi - lo)
-        pinf = np.empty(hi - lo)
+    def run_slice(d0: int, d1: int) -> None:
+        lo, hi = int(lane.starts[d0]), int(lane.starts[d1])
+        owner = lane.owner[lo:hi] - d0
+        tau_c, k_e_s = lane.tau_c_eff[lo:hi], k_e[lo:hi]
+        u_occ, eta = lane.u_occ[lo:hi], lane.eta[lo:hi]
+        idx_live = np.flatnonzero(live[lo:hi])
+        idx_fast = np.flatnonzero(~live[lo:hi])
+        owner_l, tc, ke = owner[idx_live], tau_c[idx_live], k_e_s[idx_live]
+        owner_f, tc_f, ke_f = (owner[idx_fast], tau_c[idx_fast],
+                               k_e_s[idx_fast])
+        n = idx_live.size
+        prob = np.zeros(n)
+        g = np.empty(n)
+        kc = np.empty(n)
+        tot = np.empty(n)
+        pinf = np.empty(n)
+        prob_all = np.empty(hi - lo)
         for phase in range(duty.shape[0]):
+            duty_s = duty[phase, d0:d1]
             # The in-place kernel sequence mirrors ac_occupancy exactly:
             # k_c = d/tau_c; tot = k_c + k_e; P_inf = k_c/tot;
             # decay = exp(-tot * t); P = P_inf + (P - P_inf) * decay.
-            np.take(duty[phase], owner, out=g)
+            np.take(duty_s, owner_l, out=g)
             np.divide(g, tc, out=kc)
             np.add(kc, ke, out=tot)
             np.divide(kc, tot, out=pinf)
@@ -306,32 +324,25 @@ def _lane_shifts_vector(lane: _TrapLane, duty: np.ndarray,
             np.add(prob, pinf, out=prob)
             mark = marks.get(phase + 1)
             if mark is not None:
-                prob_at[mark, lo:hi] = prob
+                # Fast traps sit at this phase's steady state.
+                kc_f = duty_s[owner_f] / tc_f
+                prob_all[idx_live] = prob
+                prob_all[idx_fast] = kc_f / (kc_f + ke_f)
+                contrib = np.where(u_occ < prob_all, eta, 0.0)
+                shifts[mark, d0:d1] = np.bincount(
+                    owner, weights=contrib, minlength=d1 - d0)
 
-    slices = [(lo, min(lo + WALK_SLICE, live))
-              for lo in range(0, live, WALK_SLICE)]
+    slices = list(zip(bounds, bounds[1:]))
     threads = min(cpu_slots(), len(slices))
     if threads <= 1:
-        for lo, hi in slices:
-            walk(lo, hi)
+        for d0, d1 in slices:
+            run_slice(d0, d1)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for future in [pool.submit(walk, lo, hi) for lo, hi in slices]:
+            for future in [pool.submit(run_slice, d0, d1)
+                           for d0, d1 in slices]:
                 future.result()
-
-    owner_f = lane.owner[idx_fast]
-    tc_f = lane.tau_c_eff[idx_fast]
-    ke_f = k_e[idx_fast]
-    prob_full = np.zeros(total)
-    shifts: List[np.ndarray] = []
-    for mark, phase in enumerate(checkpoints):
-        kc_f = duty[phase - 1][owner_f] / tc_f
-        prob_full[idx_live] = prob_at[mark]
-        prob_full[idx_fast] = kc_f / (kc_f + ke_f)
-        contrib = np.where(lane.u_occ < prob_full, lane.eta, 0.0)
-        shifts.append(np.bincount(lane.owner, weights=contrib,
-                                  minlength=size))
-    return shifts
+    return list(shifts)
 
 
 def evaluate_block(spec: FleetSpec, policy: MitigationPolicy,

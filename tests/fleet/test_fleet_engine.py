@@ -37,6 +37,27 @@ WALK_CASES = [pytest.param(policy, None, None, id=name)
     for walk_slice in (1, 7, None)
     for slots in (1, 2, 3)]
 
+#: Trap phase of the hand-built lanes (a quarter year).
+PHASE_S = FleetSpec(phases_per_year=4).phase_s
+
+#: Hand-built lanes for the device-aligned slice cut: ``(trap counts
+#: per device, which traps settle within one phase)``.  ``"huge"``
+#: stands for more live traps than ``WALK_SLICE`` in one device.
+HAND_LANES = {
+    "all-fast": ([5, 12, 3, 9, 20, 1, 7], "fast"),
+    "all-live": ([5, 12, 3, 9, 20, 1, 7], "live"),
+    "no-traps": ([0, 0, 0, 0, 0], "mixed"),
+    "empty-devices": ([0, 0, 6, 0, 0, 11, 4, 0, 9, 13, 0, 0], "mixed"),
+    "one-huge-device": ([4, 9, "huge", 0, 6, 3], "mixed"),
+}
+
+HAND_CASES = [
+    pytest.param(name, walk_slice, slots,
+                 id=f"{name}-slice{walk_slice or 'default'}-slots{slots}")
+    for name in HAND_LANES
+    for walk_slice in (1, 7, None)
+    for slots in (1, 2, 3)]
+
 
 @pytest.fixture
 def walk_layout(monkeypatch):
@@ -69,6 +90,28 @@ def walk_threads_in_worker(spec, policy):
     finally:
         sampling.ThreadPoolExecutor, sampling.WALK_SLICE = walker, walk_slice
     return compiled.cpu_slots(), max(widths)
+
+
+def hand_lane(counts, kind, seed=2017):
+    """A ``_TrapLane`` laid out as ``block_draws`` lays one out, with
+    every trap live, fast or either (``kind``)."""
+    rng = np.random.default_rng(seed)
+    counts = np.asarray(counts, dtype=np.int64)
+    total = int(counts.sum())
+    starts = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=starts[1:])
+    fast = {"fast": np.ones(total, dtype=bool),
+            "live": np.zeros(total, dtype=bool),
+            "mixed": rng.random(total) < 0.5}[kind]
+    tau_e = PHASE_S * np.where(fast, 10.0 ** rng.uniform(-6, -3, total),
+                               10.0 ** rng.uniform(-2.5, 1, total))
+    # Capture times near the emission times keep occupancies moderate.
+    tau_c_eff = tau_e * 10.0 ** rng.uniform(-1.5, 1.5, total)
+    return sampling._TrapLane(
+        counts=counts, owner=np.repeat(np.arange(counts.size), counts),
+        starts=starts, tau_c_eff=tau_c_eff, tau_e=tau_e,
+        u_occ=rng.random(total),
+        eta=rng.standard_exponential(total) * 1e-3)
 
 
 def lane_shifts_per_device(lane, duty, phase_s, checkpoints, size):
@@ -194,6 +237,35 @@ class TestInvariance:
             for got, want in zip(vector, chained):
                 assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("name, walk_slice, slots", HAND_CASES)
+    def test_slice_cut_matches_per_device_chain(self, name, walk_slice,
+                                                slots, walk_layout):
+        """Edge cases of the device-aligned cut: slices of whole devices
+        sum each device's traps in one fold, bit for bit."""
+        walk_layout(walk_slice, slots)
+        counts, kind = HAND_LANES[name]
+        huge = 3 * sampling.WALK_SLICE + 5
+        counts = [huge if c == "huge" else c for c in counts]
+        lane = hand_lane(counts, kind)
+        fast = PHASE_S / lane.tau_e >= FAST_TRAP_EXPONENT
+        if kind == "fast":
+            assert fast.all()
+        elif kind == "live":
+            assert not fast.any()
+        elif lane.owner.size:
+            assert fast.any() and not fast.all()
+        size = len(counts)
+        duty = np.random.default_rng(1).random((6, size))
+        checkpoints = (1, 4, 6)
+        vector = _lane_shifts_vector(lane, duty, PHASE_S, checkpoints, size)
+        chained = lane_shifts_per_device(lane, duty, PHASE_S, checkpoints,
+                                         size)
+        assert len(vector) == len(checkpoints)
+        for got, want in zip(vector, chained):
+            assert got.tobytes() == want.tobytes()
+        if lane.owner.size:
+            assert np.count_nonzero(vector[-1]) > 1
+
     def test_compare_invariant_to_walk_slices_and_threads(
             self, walk_layout):
         reference = FleetEngine(LAYOUT, workers=1).compare([NSSA, ISSA])
@@ -250,6 +322,27 @@ class TestMemory:
         assert self.peak_bytes(16384, 512) <= 1.25 * base
         # The probe sees the block arrays: a 4x chunk shows up.
         assert self.peak_bytes(8192, 2048) >= 2.0 * base
+
+    @pytest.mark.parametrize("slots", [1, 2])
+    def test_lane_walk_peak_within_the_lane(self, slots, walk_layout):
+        """The traced peak inside one lane's walk stays within the
+        lane's own trap arrays: slices are split, walked and summed
+        one at a time per thread, never materialised whole-lane."""
+        import tracemalloc
+        spec = FleetSpec()
+        draws = block_draws(spec, NSSA, 0)
+        lane = draws.down
+        own = sum(array.nbytes for array in (
+            lane.owner, lane.tau_c_eff, lane.tau_e, lane.u_occ, lane.eta))
+        walk_layout(None, slots)
+        tracemalloc.start()
+        try:
+            _lane_shifts_vector(lane, draws.duty_down, spec.phase_s,
+                                spec.checkpoint_phases(), draws.size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= own, (peak, own)
 
     def test_one_partial_per_chunk(self, monkeypatch):
         from repro.fleet import engine as fleet_engine

@@ -73,6 +73,29 @@ class TestParser:
         assert "argument --dt" in err
         assert "steps across the 5e-12 s enable rise" in err
 
+    @pytest.mark.parametrize("argv, rule", [
+        (["fleet", "--devices", "0"], "n_devices must be a positive"),
+        (["fleet", "--years", "1,x"], "could not convert string to float"),
+        (["fleet", "--temp", "-300"], "must be above -273.15"),
+        (["fleet", "--chunk-size", "0"], "chunk size must be positive"),
+        (["fleet", "--policies", "nssa,bogus"], "unknown scheme 'bogus'"),
+        (["array", "--rows", "0"], "rows must be a positive integer"),
+        (["array", "--rows", "x"], "bad rows list: 'x'"),
+        (["array", "--schemes", "nssa,foo"], "unknown scheme 'foo'"),
+    ], ids=lambda value: "-".join(value) if isinstance(value, list)
+        else None)
+    def test_invalid_engine_spec_is_a_usage_error(self, argv, rule,
+                                                  capsys):
+        """A spec, policy or engine the library refuses exits 2 with the
+        subcommand's usage and the rule, not a traceback."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"repro {argv[0]}: error:" in err
+        assert rule in err
+        assert "Traceback" not in err
+
 
 class TestCacheCommand:
     def test_stats_on_empty_store(self, tmp_path, capsys):
