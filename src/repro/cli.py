@@ -53,6 +53,7 @@ from .core.sensitivity import measure_sensitivities
 from .memory.energy import (MemoryOrganisation, issa_area_overhead,
                             issa_energy_overhead_per_read)
 from .models.temperature import Environment
+from .validation import require_int
 from .workloads import PAPER_WORKLOADS, paper_workload
 
 
@@ -147,27 +148,44 @@ def _cache(args):
     return ResultCache.default()
 
 
-def _settings(args):
-    return default_mc_settings(size=args.mc, seed=args.seed)
+def _run_kwargs(args):
+    """The run arguments the cell commands share: Monte-Carlo
+    settings, read timing, chunk size and tail estimator.
+
+    Raises ``ValueError`` for a value the run would refuse; build it
+    inside :func:`_usage_errors`, before anything is simulated.
+    """
+    require_int(args, "seed", minimum=0)
+    require_int(args, "chunk_size", optional=True)
+    return dict(settings=default_mc_settings(size=args.mc,
+                                             seed=args.seed),
+                timing=ReadTiming(dt=args.dt),
+                chunk_size=args.chunk_size,
+                estimator=_estimator(args))
 
 
-def _cell_result(args, scheme: str, workload_name: Optional[str],
-                 time_s: float, env: Environment):
-    workload = paper_workload(workload_name) if workload_name else None
-    return run_cell(ExperimentCell(scheme, workload, time_s, env),
-                    settings=_settings(args),
-                    timing=ReadTiming(dt=args.dt),
-                    chunk_size=args.chunk_size,
-                    cache=_cache(args),
-                    estimator=_estimator(args),
-                    backend=getattr(args, "backend", None))
+def _cell_inputs(args):
+    """``(cell, run_kwargs)`` of a one-cell command: the cell named by
+    ``--scheme/--workload/--time/--temp/--vdd`` and
+    :func:`_run_kwargs`, both checked before the run."""
+    with _usage_errors(args):
+        env = Environment.from_celsius(args.temp, args.vdd)
+        workload = paper_workload(args.workload) if args.workload \
+            else None
+        cell = ExperimentCell(args.scheme, workload, args.time, env)
+        return cell, _run_kwargs(args)
+
+
+def _cell_result(args, cell: ExperimentCell, run_kwargs):
+    return run_cell(cell, cache=_cache(args),
+                    backend=getattr(args, "backend", None),
+                    **run_kwargs)
 
 
 def cmd_characterize(args) -> int:
-    env = Environment.from_celsius(args.temp, args.vdd)
-    result = _cell_result(args, args.scheme, args.workload, args.time,
-                          env)
-    print(f"corner: {env.label()}  MC={args.mc}")
+    cell, run_kwargs = _cell_inputs(args)
+    result = _cell_result(args, cell, run_kwargs)
+    print(f"corner: {cell.env.label()}  MC={args.mc}")
     for key, value in result.row().items():
         print(f"  {key:10s} {value}")
     return 0
@@ -181,13 +199,12 @@ def cmd_table(args) -> int:
               f"{cell.workload_label} {cell.env.label()}",
               file=sys.stderr)
 
-    rows = run_grid(args.which, settings=_settings(args),
-                    timing=ReadTiming(dt=args.dt),
-                    workers=args.workers or None,
-                    chunk_size=args.chunk_size, cache=_cache(args),
-                    estimator=_estimator(args),
+    with _usage_errors(args):
+        run_kwargs = _run_kwargs(args)
+    rows = run_grid(args.which, workers=args.workers or None,
+                    cache=_cache(args),
                     backend=getattr(args, "backend", None),
-                    progress=progress)
+                    progress=progress, **run_kwargs)
     rendered = [comparison_row(
         row.result.cell.scheme, row.result.cell.time_s,
         row.result.cell.workload_label, row.result.cell.env.label(),
@@ -199,8 +216,10 @@ def cmd_table(args) -> int:
 def cmd_fig7(args) -> int:
     env = Environment.from_celsius(125.0)
     times = (0.0, 1e2, 1e4, 1e6, 1e7, 1e8)
-    kwargs = dict(times_s=times, settings=_settings(args),
-                  timing=ReadTiming(dt=args.dt))
+    with _usage_errors(args):
+        run_kwargs = _run_kwargs(args)
+    kwargs = dict(times_s=times, settings=run_kwargs["settings"],
+                  timing=run_kwargs["timing"])
     series = [
         delay_vs_aging("nssa", paper_workload("80r0"), env, **kwargs),
         delay_vs_aging("nssa", paper_workload("80r0r1"), env, **kwargs),
@@ -276,9 +295,9 @@ def cmd_tail(args) -> int:
 
     from .analysis.failure import offset_spec, sigma_level
 
-    env = Environment.from_celsius(args.temp, args.vdd)
-    result = _cell_result(args, args.scheme, args.workload, args.time,
-                          env)
+    cell, run_kwargs = _cell_inputs(args)
+    env = cell.env
+    result = _cell_result(args, cell, run_kwargs)
     offset = result.offset
     fr = args.failure_rate
     fit_ci = None
@@ -351,12 +370,13 @@ def _perf_array(args) -> int:
     except ValueError:
         raise SystemExit(f"bad --array geometry: {args.array!r} "
                          "(expected ROWSxCOLS, e.g. 64x4)")
-    spec = ArraySpec(rows=rows, columns=columns,
-                     workload=args.workload or None,
-                     times_s=((0.0, args.time) if args.time > 0.0
-                              else (0.0,)),
-                     temp_c=args.temp, vdd=args.vdd,
-                     mc=args.mc, seed=args.seed)
+    with _usage_errors(args):
+        spec = ArraySpec(rows=rows, columns=columns,
+                         workload=args.workload or None,
+                         times_s=((0.0, args.time) if args.time > 0.0
+                                  else (0.0,)),
+                         temp_c=args.temp, vdd=args.vdd,
+                         mc=args.mc, seed=args.seed)
     PERF.reset()
     with PERF.timer("total"):
         report = ArrayEngine(spec, workers=1,
@@ -390,12 +410,11 @@ def cmd_perf(args) -> int:
 
     if getattr(args, "array", None):
         return _perf_array(args)
-    env = Environment.from_celsius(args.temp, args.vdd)
+    cell, run_kwargs = _cell_inputs(args)
     PERF.reset()
     with PERF.timer("total"):
-        result = _cell_result(args, args.scheme, args.workload, args.time,
-                              env)
-    print(f"corner: {env.label()}  MC={args.mc}  dt={args.dt:g}")
+        result = _cell_result(args, cell, run_kwargs)
+    print(f"corner: {cell.env.label()}  MC={args.mc}  dt={args.dt:g}")
     for key, value in result.row().items():
         print(f"  {key:10s} {value}")
     print()
@@ -686,7 +705,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mc_args(p)
     _add_estimator_args(p)
     _add_cache_args(p)
-    p.set_defaults(func=cmd_characterize)
+    p.set_defaults(func=cmd_characterize, parser=p)
 
     p = sub.add_parser("table", help="regenerate a paper table")
     p.add_argument("--which", choices=("2", "3", "4"), required=True)
@@ -696,11 +715,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mc_args(p)
     _add_estimator_args(p)
     _add_cache_args(p)
-    p.set_defaults(func=cmd_table)
+    p.set_defaults(func=cmd_table, parser=p)
 
     p = sub.add_parser("fig7", help="delay vs aging at 125C")
     _add_mc_args(p)
-    p.set_defaults(func=cmd_fig7)
+    p.set_defaults(func=cmd_fig7, parser=p)
 
     p = sub.add_parser("sensitivity",
                        help="per-device offset/delay sensitivities")
@@ -747,7 +766,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mc_args(p)
     _add_estimator_args(p, default="is")
     _add_cache_args(p)
-    p.set_defaults(func=cmd_tail)
+    p.set_defaults(func=cmd_tail, parser=p)
 
     p = sub.add_parser("perf",
                        help="profile one table cell (fast-path counters)")
@@ -766,7 +785,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mc_args(p)
     _add_estimator_args(p)
     _add_cache_args(p)
-    p.set_defaults(func=cmd_perf)
+    p.set_defaults(func=cmd_perf, parser=p)
 
     p = sub.add_parser("cache",
                        help="inspect or clear the persistent result cache")

@@ -56,8 +56,9 @@ class WorkerPool:
         Control-loop period (lease sweep + scaling decision).
     worker_kwargs:
         Everything a :class:`Worker` takes (``pool_workers``,
-        ``max_batch``, ``retry_base_s``, ``runner``, ``poll_s``,
-        ``lease_s``).
+        ``max_batch``, ``retry_base_s``, ``runner``, ``poll_s`` — the
+        longest idle wait, since any job transition wakes an idle
+        worker — and ``lease_s``).
     """
 
     def __init__(self, scheduler: Scheduler, cache: ResultCache,

@@ -1,8 +1,8 @@
-"""Submission intake, dedup, sharded queue, leases and batch assembly.
+"""Submission intake, dedup, sharded queue, leases, batches, wake-ups.
 
 The scheduler owns the in-memory job table (backed by the persistent
 :class:`~repro.service.store.JobStore` /
-:class:`~repro.service.store.ShardedJobStore`) and makes four
+:class:`~repro.service.store.ShardedJobStore`) and makes five
 decisions:
 
 * **Dedup on submit.**  A job's id *is* the content-addressed
@@ -30,6 +30,11 @@ decisions:
   which verify the acking worker still holds the lease; a double ack
   or an ack from a superseded worker raises instead of corrupting the
   journal.
+* **Wake-ups.**  Every journaled transition (submit, revive, claim,
+  ack, requeue, release, lease expiry, cancel, fail) bumps a
+  generation counter and notifies one condition, so an idle consumer
+  blocks in :meth:`wait_for_transition` instead of polling and claims
+  as soon as there is something to claim.
 
 All public methods are thread-safe; the HTTP frontend and any number
 of worker loops share a scheduler instance.
@@ -37,6 +42,7 @@ of worker loops share a scheduler instance.
 
 from __future__ import annotations
 
+import bisect
 import random
 import threading
 import time
@@ -44,9 +50,16 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..analysis.perf import PERF
 from ..core.cache import ResultCache
-from .jobs import (CANCELLED, DONE, FAILED, Job, PENDING, Request,
-                   RUNNING, TERMINAL)
+from .jobs import (CANCELLED, DONE, FAILED, KINDS, Job, PENDING,
+                   Request, RUNNING, TERMINAL)
 from .store import JobStore
+
+#: Upper bucket edges (seconds) of the ``/metrics`` latency histograms:
+#: a 1-2-5 series from 1 ms to 100 s.  ``counts[i]`` holds the values
+#: in ``(edges[i-1], edges[i]]``; one last count holds those above
+#: 100 s.
+LATENCY_BUCKETS_S = (0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2,
+                     0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
 
 
 class AckError(RuntimeError):
@@ -79,6 +92,27 @@ def backoff_delay(attempts: int, base_s: float,
     if rng is None:
         return delay
     return delay * (0.5 + rng.random())
+
+
+class _Histogram:
+    """Count, sum and :data:`LATENCY_BUCKETS_S` counts of durations."""
+
+    __slots__ = ("count", "sum_s", "counts")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.sum_s = 0.0
+        self.counts = [0] * (len(LATENCY_BUCKETS_S) + 1)
+
+    def add(self, seconds: float) -> None:
+        seconds = max(0.0, seconds)
+        self.count += 1
+        self.sum_s += seconds
+        self.counts[bisect.bisect_left(LATENCY_BUCKETS_S, seconds)] += 1
+
+    def to_dict(self) -> Dict:
+        return {"count": self.count, "sum_s": self.sum_s,
+                "counts": list(self.counts)}
 
 
 class _Shard:
@@ -118,6 +152,11 @@ class Scheduler:
             self._shards[self._route(job.id)].jobs[job.id] = job
         self._seq_lock = threading.Lock()
         self._rotor = 0
+        # Transition generation for idle waiters.  Lock order: a shard
+        # lock may be held while taking the condition's lock (see
+        # _record), never the other way round.
+        self._transitions = threading.Condition(threading.Lock())
+        self._generation = 0
         # Batch / lease statistics for /metrics.
         self._stats_lock = threading.Lock()
         self._batches = 0
@@ -127,6 +166,10 @@ class Scheduler:
         self._lease_renewals = 0
         self._stale_acks = 0
         self._double_acks = 0
+        # Queue-wait and run histograms of the jobs that ran, per kind.
+        self._latency = {kind: {"queue_wait": _Histogram(),
+                                "run": _Histogram()}
+                         for kind in KINDS}
 
     @property
     def n_shards(self) -> int:
@@ -208,7 +251,8 @@ class Scheduler:
         with their attempt counted and (when ``lease_s`` is given) a
         lease to ``worker``; expired leases encountered during the
         scan are requeued first, so a crashed consumer's work is
-        reclaimable by whoever polls next.
+        reclaimable at once — the requeue is a recorded transition,
+        which wakes every idle worker.
         """
         now = self.clock() if now is None else now
         with self._stats_lock:
@@ -360,6 +404,7 @@ class Scheduler:
             job.worker = None
             job.lease_expires_at = None
             self._record(shard, job)
+            self._observe_run(job)
             PERF.count("service.jobs_done")
             self._maybe_snapshot(shard)
             return job
@@ -421,6 +466,13 @@ class Scheduler:
             job.lease_expires_at = None
             self._record(shard, job)
             return job
+
+    def _observe_run(self, job: Job) -> None:
+        """Add a job acked done to its kind's latency histograms."""
+        spans = self._latency[job.request.KIND]
+        with self._stats_lock:
+            spans["queue_wait"].add(job.started_at - job.submitted_at)
+            spans["run"].add(job.finished_at - job.started_at)
 
     # -- direct completion (single-owner callers, e.g. tests) ------------
 
@@ -534,14 +586,55 @@ class Scheduler:
                 "stale_acks": self._stale_acks,
                 "double_acks": self._double_acks,
             }
+            latency = {"bucket_edges_s": list(LATENCY_BUCKETS_S)}
+            latency.update(
+                (kind, {name: hist.to_dict()
+                        for name, hist in spans.items()})
+                for kind, spans in self._latency.items())
         return {
             "jobs": counts,
             "queue_depth": counts.get(PENDING, 0),
             "shards": per_shard,
             "batches": batches,
             "leases": leases,
+            "latency": latency,
             "store": self.store.stats(),
         }
+
+    # -- wake-ups --------------------------------------------------------
+
+    def generation(self) -> int:
+        """The count of journaled transitions so far.
+
+        Read it *before* looking at the queue, then hand it to
+        :meth:`wait_for_transition`: a transition that lands between
+        the look and the wait has already moved the count, so the wait
+        returns at once instead of missing it.
+        """
+        with self._transitions:
+            return self._generation
+
+    def wait_for_transition(self, generation: int,
+                            timeout: Optional[float],
+                            stop: Optional[threading.Event] = None
+                            ) -> bool:
+        """Block until a transition after ``generation`` is recorded.
+
+        Returns True when one was, False when ``timeout`` (``None``
+        waits without limit) ran out or ``stop`` was set first;
+        :meth:`wake_waiters` makes a waiter recheck ``stop``.
+        """
+        with self._transitions:
+            self._transitions.wait_for(
+                lambda: self._generation != generation
+                or (stop is not None and stop.is_set()),
+                timeout)
+            return self._generation != generation
+
+    def wake_waiters(self) -> None:
+        """Wake every waiter to recheck its ``stop`` event."""
+        with self._transitions:
+            self._transitions.notify_all()
 
     # -- persistence -----------------------------------------------------
 
@@ -559,6 +652,9 @@ class Scheduler:
     def _record(self, shard: _Shard, job: Job) -> None:
         job.touch()
         shard.store.record(job)
+        with self._transitions:
+            self._generation += 1
+            self._transitions.notify_all()
 
     def _maybe_snapshot(self, shard: _Shard) -> None:
         if shard.store.should_snapshot():

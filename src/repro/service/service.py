@@ -190,20 +190,29 @@ class Service:
     def cancel(self, job_id: str) -> bool:
         return self.scheduler.cancel(job_id)
 
-    def wait(self, job_id: str, timeout: Optional[float] = None,
-             poll_s: float = 0.02) -> Dict[str, Any]:
-        """Block until the job reaches a terminal state."""
+    def wait(self, job_id: str,
+             timeout: Optional[float] = None) -> Dict[str, Any]:
+        """Block until the job reaches a terminal state.
+
+        Sleeps on the scheduler's transition wake-up, not a poll: every
+        journaled transition (a terminal ack among them) wakes the wait
+        to recheck the job.  Raises :class:`TimeoutError` once
+        ``timeout`` seconds pass first.
+        """
         deadline = None if timeout is None \
             else time.monotonic() + timeout
         while True:
+            generation = self.scheduler.generation()
             doc = self.status(job_id)
             if doc["state"] in TERMINAL:
                 return doc
-            if deadline is not None and time.monotonic() >= deadline:
+            remaining = None if deadline is None \
+                else deadline - time.monotonic()
+            if remaining is not None and remaining <= 0.0:
                 raise TimeoutError(
                     f"job {job_id} still {doc['state']} after "
                     f"{timeout:g} s")
-            time.sleep(poll_s)
+            self.scheduler.wait_for_transition(generation, remaining)
 
     # -- the worker protocol (claim / heartbeat / ack) -------------------
 

@@ -101,7 +101,10 @@ class Worker(threading.Thread):
     runner:
         Override the batch executor (tests inject failures/delays).
     poll_s:
-        Idle sleep between empty claims.
+        Longest idle wait after an empty claim.  Any journaled job
+        transition wakes the worker at once; this bounds only how late
+        a retry is picked up once its backoff gate (``not_before``)
+        opens, since a gate opens with time, not with a transition.
     worker_id:
         Claim identity; auto-numbered ``local-N`` when omitted.
     lease_s:
@@ -151,11 +154,15 @@ class Worker(threading.Thread):
             heartbeat.start()
         try:
             while not self._draining.is_set():
+                # Read before the claim, so a submit landing between an
+                # empty claim and the wait is not missed.
+                generation = self.scheduler.generation()
                 batch = self.scheduler.claim_batch(
                     self.max_batch, worker=self.worker_id,
                     lease_s=self.lease_s)
                 if not batch:
-                    self._draining.wait(self.poll_s)
+                    self.scheduler.wait_for_transition(
+                        generation, self.poll_s, stop=self._draining)
                     continue
                 self._execute(batch)
         finally:
@@ -173,18 +180,19 @@ class Worker(threading.Thread):
     def request_drain(self) -> None:
         """Ask the loop to stop after the in-flight batch (no join)."""
         self._draining.set()
+        self.scheduler.wake_waiters()
 
     def drain(self, timeout: Optional[float] = None) -> bool:
         """Finish the in-flight batch, then stop; True when joined."""
-        self._draining.set()
+        self.request_drain()
         if self.is_alive():
             self.join(timeout)
         return not self.is_alive()
 
     def stop(self, timeout: Optional[float] = None) -> bool:
         """Hard stop: cancel the in-flight batch and exit."""
-        self._draining.set()
         self._cancel.set()
+        self.request_drain()
         if self.is_alive():
             self.join(timeout)
         return not self.is_alive()

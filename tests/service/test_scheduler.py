@@ -1,4 +1,7 @@
-"""Tests for dedup, priorities and batch coalescing."""
+"""Tests for dedup, priorities, batch coalescing and wake-ups."""
+
+import threading
+import time
 
 import pytest
 
@@ -9,8 +12,12 @@ from repro.core.calibration import default_mc_settings
 from repro.core.experiment import run_cell
 from repro.service.jobs import (CANCELLED, DONE, FAILED, JobRequest,
                                 PENDING, RUNNING)
-from repro.service.scheduler import Scheduler
+from repro.service.scheduler import (LATENCY_BUCKETS_S, Scheduler,
+                                     _Histogram)
+from repro.service.service import Service
 from repro.service.store import JobStore
+
+from .test_leases import FakeClock
 
 
 def request(**overrides):
@@ -174,3 +181,163 @@ class TestLifecycle:
         newer, _ = again.submit(request(scheme="issa"))
         assert newer.seq > recovered.seq
         again.store.close()
+
+
+class TestWakeups:
+    """Each journaled transition moves the generation and wakes waiters."""
+
+    def test_every_journaled_transition_bumps_the_generation(
+            self, tmp_path):
+        clock = FakeClock()
+        sched = Scheduler(JobStore(tmp_path / "store"),
+                          ResultCache(tmp_path / "cache"), clock=clock,
+                          max_attempts=2)
+        def bumps(action, *args, **kwargs):
+            before = sched.generation()
+            action(*args, **kwargs)
+            return sched.generation() > before
+
+        assert bumps(sched.submit, request())                # submit
+        [job] = sched.jobs()
+        assert not bumps(sched.submit, request())            # dedup hit
+        assert bumps(sched.submit, request(), priority=5)    # priority
+        assert bumps(sched.claim_batch, worker="w", lease_s=10.0)
+        assert not bumps(sched.claim_batch, worker="w")      # empty claim
+        assert not bumps(sched.renew, "w", [job.id], 10.0)   # heartbeat
+        assert bumps(sched.release, "w", job.id, "drain")    # release
+        sched.claim_batch(worker="w", lease_s=10.0)
+        clock.advance(11.0)
+        assert bumps(sched.expire_leases)                    # lease expiry
+        sched.claim_batch(worker="w", lease_s=10.0)
+        assert bumps(sched.ack_failed, "w", job.id, "flaky", base_s=0.0)
+        sched.claim_batch(worker="w", lease_s=10.0)
+        assert bumps(sched.ack_done, "w", job.id, {})        # ack
+        other, _ = sched.submit(request(scheme="issa"))
+        assert bumps(sched.cancel, other.id)                 # cancel
+        assert bumps(sched.submit, request(scheme="issa"))   # revive
+        sched.claim_batch(worker="w")
+        assert bumps(sched.fail, other, "boom")              # fail
+        sched.store.close()
+
+    def test_a_missed_transition_returns_at_once(self, scheduler):
+        generation = scheduler.generation()
+        scheduler.submit(request())
+        start = time.monotonic()
+        assert scheduler.wait_for_transition(generation, 30.0)
+        assert time.monotonic() - start < 1.0
+
+    def test_a_quiet_wait_times_out(self, scheduler):
+        generation = scheduler.generation()
+        assert not scheduler.wait_for_transition(generation, 0.05)
+
+    def test_a_transition_from_another_thread_wakes_the_wait(
+            self, scheduler):
+        generation = scheduler.generation()
+        timer = threading.Timer(0.1, scheduler.submit, (request(),))
+        timer.start()
+        start = time.monotonic()
+        assert scheduler.wait_for_transition(generation, 30.0)
+        assert time.monotonic() - start < 1.0
+        timer.join()
+
+    def test_wake_waiters_ends_a_stopped_wait(self, scheduler):
+        stop = threading.Event()
+
+        def request_stop():
+            stop.set()
+            scheduler.wake_waiters()
+
+        timer = threading.Timer(0.1, request_stop)
+        timer.start()
+        start = time.monotonic()
+        assert not scheduler.wait_for_transition(
+            scheduler.generation(), 30.0, stop=stop)
+        assert time.monotonic() - start < 1.0
+        timer.join()
+
+
+class TestServiceWait:
+    @pytest.fixture
+    def service(self, tmp_path):
+        svc = Service(tmp_path / "svc", autostart=False)
+        yield svc
+        svc.close()
+
+    def test_returns_on_an_ack_from_another_thread(self, service):
+        job = service.submit(request())
+        service.scheduler.claim_batch(worker="w", lease_s=None)
+        timer = threading.Timer(
+            0.2, service.scheduler.ack_done, ("w", job.id, {}))
+        start = time.monotonic()
+        timer.start()
+        doc = service.wait(job.id, timeout=30.0)
+        elapsed = time.monotonic() - start
+        timer.join()
+        assert doc["state"] == DONE
+        assert elapsed < 1.2
+
+    def test_raises_at_its_deadline(self, service):
+        job = service.submit(request())
+        start = time.monotonic()
+        with pytest.raises(TimeoutError, match="still pending"):
+            service.wait(job.id, timeout=0.2)
+        assert 0.2 <= time.monotonic() - start < 2.0
+
+
+class TestLatencyHistograms:
+    def test_jobs_that_ran_are_counted_per_kind(self, tmp_path,
+                                                monkeypatch):
+        clock = FakeClock()
+        sched = Scheduler(JobStore(tmp_path / "store"),
+                          ResultCache(tmp_path / "cache"), clock=clock)
+        job, _ = sched.submit(request())
+        sched.submit(request())                       # dedup: not counted
+        clock.advance(0.03)
+        sched.claim_batch(worker="w")
+        clock.advance(2.5)
+        sched.ack_done("w", job.id, {})
+        failed, _ = sched.submit(request(scheme="issa"))
+        sched.claim_batch(worker="w")
+        sched.fail(failed, "boom")                    # failed: not counted
+        monkeypatch.setattr(JobRequest, "cached_result_row",
+                            lambda self, cache, key: {"spec_mV": 1.0})
+        cached, _ = sched.submit(request(seed=1))
+        assert cached.from_cache                      # never ran
+        latency = sched.metrics()["latency"]
+        edges = latency["bucket_edges_s"]
+        assert edges == list(LATENCY_BUCKETS_S)
+        assert edges[0] == 0.001 and edges[-1] == 100.0
+        cell = latency["cell"]
+        assert cell["queue_wait"]["count"] == 1
+        assert cell["queue_wait"]["sum_s"] == pytest.approx(0.03)
+        assert cell["run"]["count"] == 1
+        assert cell["run"]["sum_s"] == pytest.approx(2.5)
+        # 0.03 s lies in (0.02, 0.05], 2.5 s in (2, 5].
+        expect = [0] * (len(edges) + 1)
+        expect[edges.index(0.05)] = 1
+        assert cell["queue_wait"]["counts"] == expect
+        expect = [0] * (len(edges) + 1)
+        expect[edges.index(5.0)] = 1
+        assert cell["run"]["counts"] == expect
+        for kind in ("fleet", "array"):
+            assert latency[kind]["run"]["count"] == 0
+        sched.store.close()
+
+    def test_out_of_range_values_land_in_the_end_buckets(self):
+        hist = _Histogram()
+        for seconds in (-1.0, 0.0, 0.001, 100.0, 1e4):
+            hist.add(seconds)
+        counts = hist.to_dict()["counts"]
+        assert counts[0] == 3 and counts[-2] == 1 and counts[-1] == 1
+        assert hist.count == 5 and hist.sum_s == pytest.approx(10100.001)
+
+    def test_service_metrics_keep_the_kind_blocks(self, tmp_path):
+        svc = Service(tmp_path / "svc", autostart=False)
+        try:
+            metrics = svc.metrics()
+        finally:
+            svc.close()
+        assert set(metrics["latency"]) == {"bucket_edges_s", "cell",
+                                           "fleet", "array"}
+        assert "devices" in metrics["fleet"]
+        assert "columns" in metrics["array"]

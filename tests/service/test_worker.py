@@ -18,6 +18,8 @@ from repro.service.scheduler import Scheduler
 from repro.service.store import JobStore
 from repro.service.worker import Worker, run_batch
 
+from .test_leases import FakeClock
+
 
 def request(**overrides):
     fields = dict(scheme="nssa", workload="80r0", time_s=1e8,
@@ -217,3 +219,156 @@ class TestEngineWorkersCap:
         rows = run_batch([job], None, 1, None, threading.Event())
         assert seen == [used]
         assert rows and rows[0]["items"] >= 1
+
+
+class TestDispatch:
+    """An idle worker claims on the next job transition, not a poll.
+
+    Every worker here polls at most every 30 s, and every wait is
+    bounded well below that, so a polling worker fails the test
+    instead of hanging it.
+    """
+
+    IDLE_POLL_S = 30.0
+
+    @staticmethod
+    def idle_worker(scheduler, runner):
+        """Start a 30 s-poll worker and wait for its first empty claim."""
+        claims = []
+        claim_batch = scheduler.claim_batch
+
+        def counting_claim(*args, **kwargs):
+            batch = claim_batch(*args, **kwargs)
+            claims.append(len(batch))
+            return batch
+
+        scheduler.claim_batch = counting_claim
+        worker = Worker(scheduler, scheduler.cache, runner=runner,
+                        poll_s=TestDispatch.IDLE_POLL_S)
+        worker.start()
+        wait_for(lambda: claims and claims[-1] == 0, timeout=5.0)
+        return worker
+
+    @staticmethod
+    def park(scheduler):
+        """Submit a job and lease it to another worker."""
+        job, _ = scheduler.submit(request())
+        assert scheduler.claim_batch(worker="other", lease_s=30.0) == [job]
+        return job
+
+    def test_submit_to_an_idle_worker_runs_at_once(self, scheduler):
+        worker = self.idle_worker(scheduler, lambda b, t, c: [{}] * len(b))
+        job, _ = scheduler.submit(request())
+        wait_for(lambda: job.state == DONE, timeout=2.0)
+        worker.drain(timeout=5)
+
+    def test_submit_between_empty_claim_and_wait_is_not_lost(
+            self, tmp_path):
+        class LateSubmit(Scheduler):
+            """Submits once inside a claim that comes back empty."""
+
+            late = None
+
+            def claim_batch(self, *args, **kwargs):
+                batch = super().claim_batch(*args, **kwargs)
+                if not batch and self.late is None:
+                    self.late, _ = self.submit(request())
+                return batch
+
+        sched = LateSubmit(JobStore(tmp_path / "store"),
+                           ResultCache(tmp_path / "cache"))
+        worker = Worker(sched, sched.cache, poll_s=self.IDLE_POLL_S,
+                        runner=lambda b, t, c: [{}] * len(b))
+        worker.start()
+        try:
+            wait_for(lambda: sched.late is not None
+                     and sched.late.state == DONE, timeout=2.0)
+        finally:
+            worker.drain(timeout=5)
+            sched.store.close()
+
+    def test_lease_expiry_wakes_an_idle_worker(self, tmp_path):
+        clock = FakeClock()
+        sched = Scheduler(JobStore(tmp_path / "store"),
+                          ResultCache(tmp_path / "cache"), clock=clock)
+        job = self.park(sched)
+        worker = self.idle_worker(sched, lambda b, t, c: [{}] * len(b))
+        try:
+            clock.advance(31.0)
+            assert sched.expire_leases() == 1
+            wait_for(lambda: job.state == DONE, timeout=2.0)
+        finally:
+            worker.drain(timeout=5)
+            sched.store.close()
+
+    def test_release_wakes_an_idle_worker(self, scheduler):
+        job = self.park(scheduler)
+        worker = self.idle_worker(scheduler, lambda b, t, c: [{}] * len(b))
+        scheduler.release("other", job.id, "handed back")
+        wait_for(lambda: job.state == DONE, timeout=2.0)
+        worker.drain(timeout=5)
+
+    def test_revival_of_a_failed_job_wakes_an_idle_worker(
+            self, scheduler):
+        job = self.park(scheduler)
+        scheduler.fail(job, "boom")
+        worker = self.idle_worker(scheduler, lambda b, t, c: [{}] * len(b))
+        again, deduped = scheduler.submit(request())
+        assert again is job and not deduped
+        wait_for(lambda: job.state == DONE, timeout=2.0)
+        worker.drain(timeout=5)
+
+    @pytest.mark.parametrize("how", ["drain", "stop"])
+    def test_idle_worker_stops_promptly(self, scheduler, how):
+        worker = self.idle_worker(scheduler, lambda b, t, c: [])
+        start = time.monotonic()
+        assert getattr(worker, how)(timeout=5.0)
+        assert time.monotonic() - start < 1.0
+
+
+    def test_many_workers_and_submitters_lose_no_wakeup(self, scheduler):
+        """More workers than cores, bursts from several threads and a
+        short switch interval: every job still runs, once, long before
+        any 30 s idle wait could have picked it up."""
+        import sys
+
+        ran = []
+        ran_lock = threading.Lock()
+
+        def runner(batch, timeout, cancel):
+            with ran_lock:
+                ran.extend(job.id for job in batch)
+            return [{} for _ in batch]
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        workers = []
+        try:
+            workers = [Worker(scheduler, scheduler.cache, runner=runner,
+                              poll_s=self.IDLE_POLL_S, max_batch=2)
+                       for _ in range(6)]
+            for worker in workers:
+                worker.start()
+
+            def burst(base):
+                for seed in range(base, base + 10):
+                    scheduler.submit(request(seed=seed))
+                    time.sleep(0.001)
+
+            submitters = [threading.Thread(target=burst, args=(100 * k,))
+                          for k in range(4)]
+            for thread in submitters:
+                thread.start()
+            for thread in submitters:
+                thread.join(timeout=5.0)
+            wait_for(lambda: all(job.state == DONE
+                                 for job in scheduler.jobs())
+                     and len(scheduler.jobs()) == 40, timeout=10.0)
+        finally:
+            sys.setswitchinterval(switch)
+            for worker in workers:
+                worker.request_drain()
+            for worker in workers:
+                worker.drain(timeout=5.0)
+        assert sorted(ran) == sorted(job.id for job in scheduler.jobs())
+        assert not any(worker.is_alive() for worker in workers)

@@ -96,6 +96,40 @@ class TestParser:
         assert rule in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, rule", [
+        (["characterize", "--mc", "0"], "Monte-Carlo size must be at least"),
+        (["characterize", "--workload", "bogus"],
+         "unrecognised workload name 'bogus'"),
+        (["characterize", "--temp", "-300"], "below absolute zero"),
+        (["characterize", "--vdd", "-1"], "vdd must be positive"),
+        (["characterize", "--time", "-5"], "stress time must be non-neg"),
+        (["characterize", "--chunk-size", "0"],
+         "chunk_size must be a positive integer"),
+        (["characterize", "--seed", "-1"], "seed must be an integer >= 0"),
+        (["table", "--which", "2", "--mc", "0"],
+         "Monte-Carlo size must be at least"),
+        (["table", "--which", "2", "--chunk-size", "-1"],
+         "chunk_size must be a positive integer"),
+        (["fig7", "--mc", "1"], "Monte-Carlo size must be at least"),
+        (["tail", "--mc", "0"], "Monte-Carlo size must be at least"),
+        (["tail", "--estimator", "is", "--tail-samples", "0"],
+         "estimator needs at least"),
+        (["perf", "--mc", "0"], "Monte-Carlo size must be at least"),
+        (["perf", "--array", "8x2", "--mc", "0"], "mc must be an integer"),
+    ], ids=lambda value: "-".join(value) if isinstance(value, list)
+        else None)
+    def test_invalid_cell_argument_is_a_usage_error(self, argv, rule,
+                                                    capsys):
+        """The cell commands check their settings, corner, workload,
+        timing and chunk size before the run, as fleet and array do."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"repro {argv[0]}: error:" in err
+        assert rule in err
+        assert "Traceback" not in err
+
 
 class TestCacheCommand:
     def test_stats_on_empty_store(self, tmp_path, capsys):
